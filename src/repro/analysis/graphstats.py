@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.csr.graph import CSRGraph
 from repro.errors import GraphFormatError
+from repro.util.gather import concat_ranges, sorted_unique
 
 __all__ = ["GraphShape", "graph_shape"]
 
@@ -77,10 +78,8 @@ def _bfs_levels(csr: CSRGraph, root: int) -> np.ndarray:
         counts = csr.indptr[frontier + 1] - starts
         if counts.sum() == 0:
             break
-        from repro.util.gather import concat_ranges
-
         neighbors = csr.adj[concat_ranges(starts, counts)]
-        fresh = np.unique(neighbors[levels[neighbors] < 0])
+        fresh = sorted_unique(neighbors[levels[neighbors] < 0])
         if fresh.size == 0:
             break
         depth += 1

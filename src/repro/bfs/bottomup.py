@@ -5,14 +5,14 @@ member ``v``; at the first hit it sets ``tree(w) ← v`` and **stops
 scanning** — the early termination that makes the bottom-up direction so
 cheap on the big middle levels.
 
-Vectorization subtlety: the kernel gathers whole adjacency rows and then
-computes, per row, the index of the first frontier hit
-(:func:`~repro.util.gather.first_true_per_segment`).  DRAM bytes are thus
-over-read relative to a scalar implementation, but the *scanned-edge
-counts are exact* — they stop at the hit — and those counts are what feed
-the cost model, Figure 10's traversal split and Figure 14's offload access
-ratios.  For the partially NVM-resident backward graph the early exit is
-honoured for real: the NVM suffix of a row is only fetched when the DRAM
+Vectorization: :func:`~repro.util.gather.first_hit_rows` probes the k-th
+entry of every still-unresolved row together, for the first few columns,
+and gathers whole rows only for the few rows still unresolved after
+that — so DRAM reads stay close to the early-exit probes a scalar scan
+makes.  The *scanned-edge counts are exact* — they stop at the hit — and
+those counts are what feed the cost model, Figure 10's traversal split
+and Figure 14's offload access ratios.  For the partially NVM-resident
+backward graph the NVM suffix of a row is only fetched when the DRAM
 prefix produced no hit (§V-C's "read vertices on DRAM, then continue to
 read vertices on NVM in a streaming fashion").
 
@@ -31,10 +31,11 @@ import numpy as np
 
 from repro.csr.graph import CSRGraph
 from repro.bfs.state import BFSState
-from repro.util.bitmap import Bitmap
-from repro.util.gather import concat_ranges, first_true_per_segment
+from repro.util.gather import first_hit_rows
 
 __all__ = ["ScanOutcome", "BottomUpScanner", "InMemoryScanner", "bottom_up_step"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,13 @@ class ScanOutcome:
 
 
 class BottomUpScanner(Protocol):
-    """A backward-graph shard that can scan rows against a frontier."""
+    """A backward-graph shard that can scan rows against a frontier.
 
-    def scan(self, local_rows: np.ndarray, frontier: Bitmap) -> ScanOutcome:
+    ``frontier`` is a ``bool`` byte map over the vertex IDs (a
+    :class:`~repro.util.bitmap.Bitmap` is accepted and expanded per call).
+    """
+
+    def scan(self, local_rows: np.ndarray, frontier: np.ndarray) -> ScanOutcome:
         """Scan the given *local* rows; see :class:`ScanOutcome`."""
         ...
 
@@ -70,26 +75,11 @@ class InMemoryScanner:
     def __init__(self, shard: CSRGraph) -> None:
         self.shard = shard
 
-    def scan(self, local_rows: np.ndarray, frontier: Bitmap) -> ScanOutcome:
+    def scan(self, local_rows: np.ndarray, frontier: np.ndarray) -> ScanOutcome:
         """Scan rows against the frontier with exact early termination."""
         starts, counts = self.shard.row_extents(local_rows)
-        neighbors = self.shard.adj[concat_ranges(starts, counts)]
-        if neighbors.size == 0:
-            return ScanOutcome(
-                parents=np.full(local_rows.size, -1, dtype=np.int64),
-                scanned_dram=0,
-                scanned_nvm=0,
-            )
-        hits = frontier.test_many(neighbors)
-        hit_at, scanned = first_true_per_segment(hits, counts)
-        parents = np.full(local_rows.size, -1, dtype=np.int64)
-        found = hit_at >= 0
-        parents[found] = neighbors[hit_at[found]]
-        return ScanOutcome(
-            parents=parents,
-            scanned_dram=int(scanned.sum()),
-            scanned_nvm=0,
-        )
+        parents, scanned = first_hit_rows(self.shard.adj, starts, counts, frontier)
+        return ScanOutcome(parents, int(scanned.sum()), 0)
 
 
 def bottom_up_step(
@@ -130,16 +120,18 @@ def bottom_up_step(
         Newly discovered vertices (sorted) and exact probe counts split by
         residence of the probed data.
     """
-    frontier = state.frontier_as_bitmap()
+    # One frontier byte map per level, built before any shard task starts;
+    # the scans only read it.
+    frontier = np.zeros(state.n_vertices, dtype=bool)
+    frontier[state.frontier_queue] = True
     partitions = state.topology.partitions(state.n_vertices)
 
     def scan_node(args):
         part, scanner = args
         cand = state.unvisited_candidates(part.node)
-        winners_parts: list[np.ndarray] = []
-        parents_parts: list[np.ndarray] = []
-        dram = 0
-        nvm = 0
+        winners_parts = [_EMPTY]
+        parents_parts = [_EMPTY]
+        dram = nvm = 0
         for blk_start in range(0, cand.size, rows_per_block):
             block = cand[blk_start : blk_start + rows_per_block]
             outcome = scanner.scan(block - part.lo, frontier)
@@ -149,15 +141,9 @@ def bottom_up_step(
             if found.any():
                 winners_parts.append(block[found])
                 parents_parts.append(outcome.parents[found])
-        if winners_parts:
-            return (
-                np.concatenate(winners_parts),
-                np.concatenate(parents_parts),
-                dram,
-                nvm,
-            )
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, dram, nvm
+        return (
+            np.concatenate(winners_parts), np.concatenate(parents_parts), dram, nvm
+        )
 
     tasks = list(zip(partitions, scanners))
     if executor is not None:
@@ -165,29 +151,22 @@ def bottom_up_step(
     elif obs is not None and obs.enabled:
         results = []
         for task in tasks:
-            with obs.span(
-                "bfs.shard",
-                shard=int(task[0].node),
-                direction="bottom-up",
-            ) as sp:
+            node = int(task[0].node)
+            with obs.span("bfs.shard", shard=node, direction="bottom-up") as sp:
                 result = scan_node(task)
             sp.set(edges_dram=result[2], edges_nvm=result[3])
             results.append(result)
     else:
         results = [scan_node(t) for t in tasks]
 
-    next_parts: list[np.ndarray] = []
-    scanned_dram = 0
-    scanned_nvm = 0
+    next_parts = [_EMPTY]
+    scanned_dram = scanned_nvm = 0
     for winners, parents, dram, nvm in results:
         scanned_dram += dram
         scanned_nvm += nvm
         if winners.size:
             state.discover(winners, parents)
             next_parts.append(winners)
-    if next_parts:
-        next_queue = np.concatenate(next_parts)
-        next_queue.sort()
-    else:
-        next_queue = np.empty(0, dtype=np.int64)
+    next_queue = np.concatenate(next_parts)
+    next_queue.sort()
     return next_queue, scanned_dram, scanned_nvm

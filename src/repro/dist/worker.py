@@ -323,8 +323,9 @@ class PartitionWorker:
         cand = self._candidates
         if cand.size == 0:
             return _EMPTY, _EMPTY, 0, 0, 0
-        bitmap = Bitmap.from_indices(self.n_vertices, frontier)
-        outcome = self.scanner.scan(cand - self.part.lo, bitmap)
+        member = np.zeros(self.n_vertices, dtype=bool)
+        member[frontier] = True
+        outcome = self.scanner.scan(cand - self.part.lo, member)
         found = outcome.parents >= 0
         winners = cand[found]
         parents = outcome.parents[found]

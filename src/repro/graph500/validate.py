@@ -20,6 +20,7 @@ resident on (simulated) NVM.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,26 +116,35 @@ def validate_bfs_tree(
         of them (used by tests); the default stops at the first for speed.
     """
     parent = np.asarray(parent)
-    violations: list[str] = []
     n = edges.n_vertices
     if parent.shape != (n,):
         return ValidationResult(
             ok=False,
             violations=(f"parent array shape {parent.shape} != ({n},)",),
         )
-
-    def fail(msg: str) -> ValidationResult | None:
-        violations.append(msg)
-        if not collect_all:
-            return ValidationResult(ok=False, violations=tuple(violations))
-        return None
-
-    # Rule 1: acyclic pointers reaching the root; derive levels.
     levels, err = compute_levels(parent, root)
+    found = _violations(edges, parent, root, levels, err)
+    if not collect_all:
+        first = next(found, None)
+        if first is not None:
+            return ValidationResult(ok=False, violations=(first,))
+    violations = tuple(found)
+    return ValidationResult(
+        ok=not violations,
+        violations=violations,
+        levels=levels,
+        n_tree_vertices=int(np.count_nonzero(levels >= 0)),
+    )
+
+
+def _violations(
+    edges: EdgeList, parent: np.ndarray, root: int, levels: np.ndarray, err: str | None
+) -> Iterator[str]:
+    """Yield each rule's violation message, in rule order, lazily."""
+    n = edges.n_vertices
+    # Rule 1: acyclic pointers reaching the root (``compute_levels``).
     if err is not None:
-        res = fail(f"rule1: {err}")
-        if res is not None:
-            return res
+        yield f"rule1: {err}"
     visited = levels >= 0
 
     # Rule 2: tree edges span exactly one level.  Out-of-range parent
@@ -146,67 +156,61 @@ def validate_bfs_tree(
         dl = levels[tree_vertices] - levels[parent[tree_vertices]]
         bad = tree_vertices[(dl != 1) & visited[tree_vertices]]
         if bad.size:
-            res = fail(
+            yield (
                 f"rule2: {bad.size} tree edges do not span one level, "
                 f"e.g. vertex {int(bad[0])} (level {int(levels[bad[0]])}) with "
                 f"parent {int(parent[bad[0]])} (level {int(levels[parent[bad[0]]])})"
             )
-            if res is not None:
-                return res
 
     # Rule 3: every tree edge exists in the input edge list.
     if tree_vertices.size:
         edge_keys = edges.sorted_edge_keys  # cached across iterations
         tv = tree_vertices
         tp = parent[tv]
-        tlo = np.minimum(tv, tp)
-        thi = np.maximum(tv, tp)
-        tree_keys = tlo * np.int64(n) + thi
+        tree_keys = np.minimum(tv, tp) * np.int64(n) + np.maximum(tv, tp)
         if edge_keys.size:
-            pos = np.searchsorted(edge_keys, tree_keys)
-            pos = np.minimum(pos, edge_keys.size - 1)
-            missing = tv[edge_keys[pos] != tree_keys]
+            # Search with the keys sorted (a merge-like sweep), then map
+            # any absent key back to vertex order for the report.
+            keys = np.sort(tree_keys)
+            pos = np.searchsorted(edge_keys, keys)
+            np.minimum(pos, edge_keys.size - 1, out=pos)
+            absent = keys[edge_keys[pos] != keys]
+            missing = tv[np.isin(tree_keys, absent)] if absent.size else absent
         else:  # self-loop-only or edgeless graph: every tree edge is bogus
             missing = tv
         if missing.size:
-            res = fail(
+            yield (
                 f"rule3: {missing.size} tree edges absent from the graph, "
                 f"e.g. ({int(missing[0])}, {int(parent[missing[0]])})"
             )
-            if res is not None:
-                return res
 
-    # Rule 4: no input edge spans more than one level or leaves the
-    # visited component half-visited.
+    # Rules 4 and 5: no input edge spans more than one level or leaves the
+    # visited component half-visited (self-loops can break neither).  One
+    # fused int32 pass first: with unvisited vertices at level n + 1, an
+    # edge breaks a rule exactly when its levels differ by more than one.
     u, v = edges.endpoints
-    not_loop = u != v
-    uu, vv = u[not_loop], v[not_loop]
-    lu, lv = levels[uu], levels[vv]
-    both_visited = (lu >= 0) & (lv >= 0)
-    span_bad = both_visited & (np.abs(lu - lv) > 1)
-    if span_bad.any():
-        i = int(np.flatnonzero(span_bad)[0])
-        res = fail(
-            f"rule4: edge ({int(uu[i])}, {int(vv[i])}) spans levels "
-            f"{int(lu[i])} and {int(lv[i])}"
-        )
-        if res is not None:
-            return res
-    half = both_visited ^ ((lu >= 0) | (lv >= 0))
-    if half.any():
-        i = int(np.flatnonzero(half)[0])
-        res = fail(
-            f"rule5: edge ({int(uu[i])}, {int(vv[i])}) connects a visited "
-            f"vertex to an unvisited one — the tree does not span the "
-            f"root's component"
-        )
-        if res is not None:
-            return res
-
-    ok = not violations
-    return ValidationResult(
-        ok=ok,
-        violations=tuple(violations),
-        levels=levels,
-        n_tree_vertices=int(np.count_nonzero(visited)),
-    )
+    clean = False
+    if n < 1 << 30:
+        lev = np.where(visited, levels, n + 1).astype(np.int32)
+        d = lev[u]
+        d -= lev[v]
+        d += 1  # |difference| <= 1  <=>  d in [0, 2]
+        clean = not (d.view(np.uint32) > 2).any()
+    if not clean:
+        lu, lv = levels[u], levels[v]
+        both_visited = (lu >= 0) & (lv >= 0)
+        span_bad = both_visited & (np.abs(lu - lv) > 1)
+        if span_bad.any():
+            i = int(np.flatnonzero(span_bad)[0])
+            yield (
+                f"rule4: edge ({int(u[i])}, {int(v[i])}) spans levels "
+                f"{int(lu[i])} and {int(lv[i])}"
+            )
+        half = both_visited ^ ((lu >= 0) | (lv >= 0))
+        if half.any():
+            i = int(np.flatnonzero(half)[0])
+            yield (
+                f"rule5: edge ({int(u[i])}, {int(v[i])}) connects a visited "
+                f"vertex to an unvisited one — the tree does not span the "
+                f"root's component"
+            )

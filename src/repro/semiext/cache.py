@@ -35,10 +35,17 @@ from repro.csr.graph import CSRGraph
 from repro.csr.io import ExternalCSR, offload_csr
 from repro.errors import ConfigurationError
 from repro.semiext.storage import NVMStore
-from repro.util.bitmap import Bitmap
-from repro.util.gather import concat_ranges, first_true_per_segment
+from repro.util.gather import concat_ranges, first_hit_rows
 
 __all__ = ["PrefixOffloadScanner", "DegreeThresholdScanner", "split_prefix"]
+
+
+def _sub_csr(shard: CSRGraph, offsets: np.ndarray, counts: np.ndarray) -> CSRGraph:
+    """The CSR holding ``counts[i]`` entries of row ``i`` from ``offsets[i]``."""
+    indptr = np.zeros(shard.n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    adj = shard.adj[concat_ranges(offsets, counts)]
+    return CSRGraph(indptr=indptr, adj=np.ascontiguousarray(adj), n_cols=shard.n_cols)
 
 
 def split_prefix(shard: CSRGraph, k: int) -> tuple[CSRGraph, CSRGraph]:
@@ -52,19 +59,8 @@ def split_prefix(shard: CSRGraph, k: int) -> tuple[CSRGraph, CSRGraph]:
     deg = shard.degrees()
     starts = shard.indptr[:-1]
     pre_counts = np.minimum(deg, k)
-    suf_counts = deg - pre_counts
-
-    def _make(counts: np.ndarray, offsets: np.ndarray) -> CSRGraph:
-        indptr = np.empty(shard.n_rows + 1, dtype=np.int64)
-        indptr[0] = 0
-        np.cumsum(counts, out=indptr[1:])
-        adj = shard.adj[concat_ranges(offsets, counts)]
-        return CSRGraph(
-            indptr=indptr, adj=np.ascontiguousarray(adj), n_cols=shard.n_cols
-        )
-
-    prefix = _make(pre_counts, starts)
-    suffix = _make(suf_counts, starts + pre_counts)
+    prefix = _sub_csr(shard, starts, pre_counts)
+    suffix = _sub_csr(shard, starts + pre_counts, deg - pre_counts)
     return prefix, suffix
 
 
@@ -111,41 +107,26 @@ class PrefixOffloadScanner:
 
     # -- scanning -------------------------------------------------------------------
 
-    def scan(self, local_rows: np.ndarray, frontier: Bitmap) -> ScanOutcome:
+    def scan(self, local_rows: np.ndarray, frontier: np.ndarray) -> ScanOutcome:
         """Scan the DRAM prefix, then the NVM suffix only on misses."""
         rows = np.asarray(local_rows, dtype=np.int64)
-        parents = np.full(rows.size, -1, dtype=np.int64)
 
         # Phase 1: scan the DRAM prefix with early termination.
-        p_starts, p_counts = self.prefix.row_extents(rows)
-        p_neigh = self.prefix.adj[concat_ranges(p_starts, p_counts)]
-        scanned_dram = 0
-        if p_neigh.size:
-            hits = frontier.test_many(p_neigh)
-            hit_at, scanned = first_true_per_segment(hits, p_counts)
-            scanned_dram = int(scanned.sum())
-            found = hit_at >= 0
-            parents[found] = p_neigh[hit_at[found]]
-        else:
-            found = np.zeros(rows.size, dtype=bool)
+        starts, counts = self.prefix.row_extents(rows)
+        parents, scanned = first_hit_rows(self.prefix.adj, starts, counts, frontier)
+        scanned_dram = int(scanned.sum())
 
         # Phase 2: rows without a prefix hit continue into the NVM suffix
         # — this is the only place the device gets touched, preserving the
         # early exit across the DRAM/NVM boundary.
-        pending = np.flatnonzero(~found)
+        pending = np.flatnonzero(parents < 0)
         scanned_nvm = 0
         if pending.size:
-            s_rows = rows[pending]
-            s_neigh, s_counts = self.suffix.gather_rows(s_rows)
-            if s_neigh.size:
-                hits = frontier.test_many(s_neigh)
-                hit_at, scanned = first_true_per_segment(hits, s_counts)
-                scanned_nvm = int(scanned.sum())
-                s_found = hit_at >= 0
-                parents[pending[s_found]] = s_neigh[hit_at[s_found]]
-        return ScanOutcome(
-            parents=parents, scanned_dram=scanned_dram, scanned_nvm=scanned_nvm
-        )
+            s_neigh, s_counts = self.suffix.gather_rows(rows[pending])
+            s_parents, scanned = first_hit_rows(s_neigh, None, s_counts, frontier)
+            scanned_nvm = int(scanned.sum())
+            parents[pending] = s_parents
+        return ScanOutcome(parents, scanned_dram, scanned_nvm)
 
 
 class DegreeThresholdScanner:
@@ -164,18 +145,8 @@ class DegreeThresholdScanner:
         starts = shard.indptr[:-1]
         self._on_nvm = deg <= k  # per-row placement mask
 
-        def _masked(keep: np.ndarray) -> CSRGraph:
-            counts = np.where(keep, deg, 0).astype(np.int64)
-            indptr = np.empty(shard.n_rows + 1, dtype=np.int64)
-            indptr[0] = 0
-            np.cumsum(counts, out=indptr[1:])
-            adj = shard.adj[concat_ranges(starts, counts)]
-            return CSRGraph(
-                indptr=indptr, adj=np.ascontiguousarray(adj), n_cols=shard.n_cols
-            )
-
-        self.dram = _masked(~self._on_nvm)
-        nvm_csr = _masked(self._on_nvm)
+        self.dram = _sub_csr(shard, starts, np.where(self._on_nvm, 0, deg))
+        nvm_csr = _sub_csr(shard, starts, np.where(self._on_nvm, deg, 0))
         self.nvm: ExternalCSR = offload_csr(nvm_csr, store, name)
         self._full_nbytes = shard.nbytes
 
@@ -196,36 +167,21 @@ class DegreeThresholdScanner:
             return 0.0
         return 1.0 - self.dram.nbytes / self._full_nbytes
 
-    def scan(self, local_rows: np.ndarray, frontier: Bitmap) -> ScanOutcome:
+    def scan(self, local_rows: np.ndarray, frontier: np.ndarray) -> ScanOutcome:
         """Scan DRAM-resident rows in memory, offloaded rows via NVM."""
         rows = np.asarray(local_rows, dtype=np.int64)
         parents = np.full(rows.size, -1, dtype=np.int64)
         on_nvm = self._on_nvm[rows]
 
-        scanned_dram = 0
         d_idx = np.flatnonzero(~on_nvm)
-        if d_idx.size:
-            d_rows = rows[d_idx]
-            starts, counts = self.dram.row_extents(d_rows)
-            neigh = self.dram.adj[concat_ranges(starts, counts)]
-            if neigh.size:
-                hits = frontier.test_many(neigh)
-                hit_at, scanned = first_true_per_segment(hits, counts)
-                scanned_dram = int(scanned.sum())
-                found = hit_at >= 0
-                parents[d_idx[found]] = neigh[hit_at[found]]
+        starts, counts = self.dram.row_extents(rows[d_idx])
+        parents[d_idx], scanned = first_hit_rows(self.dram.adj, starts, counts, frontier)
+        scanned_dram = int(scanned.sum())
 
         scanned_nvm = 0
         n_idx = np.flatnonzero(on_nvm)
         if n_idx.size:
-            n_rows = rows[n_idx]
-            neigh, counts = self.nvm.gather_rows(n_rows)
-            if neigh.size:
-                hits = frontier.test_many(neigh)
-                hit_at, scanned = first_true_per_segment(hits, counts)
-                scanned_nvm = int(scanned.sum())
-                found = hit_at >= 0
-                parents[n_idx[found]] = neigh[hit_at[found]]
-        return ScanOutcome(
-            parents=parents, scanned_dram=scanned_dram, scanned_nvm=scanned_nvm
-        )
+            neigh, counts = self.nvm.gather_rows(rows[n_idx])
+            parents[n_idx], scanned = first_hit_rows(neigh, None, counts, frontier)
+            scanned_nvm = int(scanned.sum())
+        return ScanOutcome(parents, scanned_dram, scanned_nvm)

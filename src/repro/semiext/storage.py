@@ -72,7 +72,7 @@ from repro.util.chunking import (
     merge_extents,
     plan_chunks,
 )
-from repro.util.gather import concat_ranges
+from repro.util.gather import concat_ranges, sorted_unique
 
 __all__ = ["NVMStore", "ExternalArray", "DeferredCharge"]
 
@@ -518,7 +518,7 @@ class NVMStore:
         pb = self.chunk_bytes
         first = plan.offsets // pb
         count = (plan.offsets + plan.sizes + pb - 1) // pb - first
-        pages = np.unique(concat_ranges(first, count))
+        pages = sorted_unique(concat_ranges(first, count))
         pages = pages[pages < sums.size]
         for p in pages:
             lo = int(p) * pb

@@ -47,8 +47,7 @@ from repro.obs.schema import (
 from repro.obs.session import NULL, Observability
 from repro.semiext.cache import split_prefix
 from repro.semiext.storage import NVMStore
-from repro.util.bitmap import Bitmap
-from repro.util.gather import concat_ranges, first_true_per_segment
+from repro.util.gather import first_hit_rows
 
 __all__ = ["TieredScanner", "TieredBackwardStore", "truncated_nbytes"]
 
@@ -128,34 +127,25 @@ class TieredScanner:
 
     # -- scanning --------------------------------------------------------------
 
-    def scan(self, local_rows: np.ndarray, frontier: Bitmap) -> ScanOutcome:
+    def scan(self, local_rows: np.ndarray, frontier: np.ndarray) -> ScanOutcome:
         """Scan the DRAM prefix; fall through to the NVM tail on misses."""
         rows = np.asarray(local_rows, dtype=np.int64)
-        parents = np.full(rows.size, -1, dtype=np.int64)
         obs = self.obs
         self.rows_scanned += int(rows.size)
         if obs.enabled and rows.size:
             obs.counter(M_OFFLOAD_ROWS).inc(int(rows.size))
 
         # Phase 1: DRAM prefix with early termination.
-        p_starts, p_counts = self.prefix.row_extents(rows)
-        p_neigh = self.prefix.adj[concat_ranges(p_starts, p_counts)]
-        scanned_dram = 0
-        if p_neigh.size:
-            hits = frontier.test_many(p_neigh)
-            hit_at, scanned = first_true_per_segment(hits, p_counts)
-            scanned_dram = int(scanned.sum())
-            found = hit_at >= 0
-            parents[found] = p_neigh[hit_at[found]]
-        else:
-            found = np.zeros(rows.size, dtype=bool)
+        starts, counts = self.prefix.row_extents(rows)
+        parents, scanned = first_hit_rows(self.prefix.adj, starts, counts, frontier)
+        scanned_dram = int(scanned.sum())
         self.scanned_dram += scanned_dram
         if obs.enabled and scanned_dram:
             obs.counter(M_OFFLOAD_EDGES, tier="dram").inc(scanned_dram)
 
         # Phase 2: only rows that both missed in DRAM *and* have a tail
         # (degree > k) fall through to the device.
-        fall = np.flatnonzero(~found & self._has_tail[rows])
+        fall = np.flatnonzero((parents < 0) & self._has_tail[rows])
         scanned_nvm = 0
         if fall.size:
             self.fallthrough_rows += int(fall.size)
@@ -171,25 +161,14 @@ class TieredScanner:
             else:
                 scanned_nvm = self._scan_tail(rows, fall, frontier, parents)
         self.scanned_nvm += scanned_nvm
-        return ScanOutcome(
-            parents=parents, scanned_dram=scanned_dram, scanned_nvm=scanned_nvm
-        )
+        return ScanOutcome(parents, scanned_dram, scanned_nvm)
 
     def _scan_tail(
-        self,
-        rows: np.ndarray,
-        fall: np.ndarray,
-        frontier: Bitmap,
-        parents: np.ndarray,
+        self, rows: np.ndarray, fall: np.ndarray, frontier: np.ndarray, parents: np.ndarray
     ) -> int:
         """Fetch the NVM tails of ``rows[fall]`` (charged) and scan them."""
         t_neigh, t_counts = self.tail.gather_rows(rows[fall])
-        if not t_neigh.size:
-            return 0
-        hits = frontier.test_many(t_neigh)
-        hit_at, scanned = first_true_per_segment(hits, t_counts)
-        t_found = hit_at >= 0
-        parents[fall[t_found]] = t_neigh[hit_at[t_found]]
+        parents[fall], scanned = first_hit_rows(t_neigh, None, t_counts, frontier)
         return int(scanned.sum())
 
 

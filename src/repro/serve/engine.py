@@ -51,7 +51,7 @@ from repro.obs.schema import (
 )
 from repro.obs.session import Observability
 from repro.serve.catalog import PinnedGraph
-from repro.util.gather import concat_ranges
+from repro.util.gather import concat_ranges, sorted_unique
 from repro.util.timer import Timer
 
 __all__ = ["BatchedBFS"]
@@ -349,7 +349,7 @@ class BatchedBFS:
         if len(td) == 1:
             union = frontiers[0]
         else:
-            union = np.unique(np.concatenate(frontiers))
+            union = sorted_unique(np.concatenate(frontiers))
         scans: dict[int, list] = {id(q): [] for q in td}
         n_shards = len(graph.top_down_shards())
         requested = sum(int(f.size) for f in frontiers) * n_shards
@@ -365,9 +365,7 @@ class BatchedBFS:
                     charge.apply(think)  # may raise DeviceFailedError
             else:
                 neighbors, counts = gather_adjacency(shard, union)
-            seg_starts = np.zeros(counts.size, dtype=np.int64)
-            if counts.size > 1:
-                np.cumsum(counts[:-1], out=seg_starts[1:])
+            seg_starts = np.cumsum(counts) - counts
             for q in td:
                 frontier = q.state.frontier_queue
                 if len(td) == 1:

@@ -17,7 +17,9 @@ Module               Contents
 
 from repro.util.bitmap import Bitmap
 from repro.util.chunking import ChunkPlan, merge_extents, plan_chunks, split_extent
-from repro.util.gather import concat_ranges, first_true_per_segment, segment_ids
+from repro.util.gather import (
+    concat_ranges, first_hit_rows, first_true_per_segment, segment_ids, sorted_unique,
+)
 from repro.util.rng import SeedSequence, derive_rng
 from repro.util.timer import Timer, WallClock
 from repro.util.units import format_bytes, parse_bytes
@@ -30,6 +32,8 @@ __all__ = [
     "split_extent",
     "concat_ranges",
     "first_true_per_segment",
+    "first_hit_rows",
+    "sorted_unique",
     "segment_ids",
     "SeedSequence",
     "derive_rng",

@@ -86,3 +86,29 @@ class TestChargeLock:
         # Each observation is positive; the final clock equals busy time.
         assert min(observed) > 0
         assert store.clock.now() == pytest.approx(store.iostats.busy_time_s)
+
+
+class TestSharedFrontierMap:
+    def test_bottom_up_shards_under_thread_pressure(self, forward, backward, csr):
+        """Shard scans share one read-only frontier byte map per level;
+        more threads than cores with a tiny switch interval must still
+        reproduce the sequential trees and per-level probe counts."""
+        import sys
+
+        from repro.bfs import AlphaBetaPolicy, HybridBFS
+
+        roots = np.flatnonzero(csr.degrees() > 0)[:6]
+        seq = HybridBFS(forward, backward, AlphaBetaPolicy(50, 500))
+        par = HybridBFS(forward, backward, AlphaBetaPolicy(50, 500), n_workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for root in roots:
+                want, got = seq.run(int(root)), par.run(int(root))
+                assert np.array_equal(got.parent, want.parent)
+                assert [t.edges_scanned for t in got.traces] == [
+                    t.edges_scanned for t in want.traces
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+            par.close()

@@ -147,3 +147,136 @@ class TestValidate:
         res = validate_bfs_tree(two, tree, 2)
         assert res.ok
         assert res.n_tree_vertices == 1
+
+
+# Many self-loops and duplicate tuples around a 7-vertex component
+# {0..6}, a triangle {7, 8, 9} and two loop-only vertices 10 and 11.
+NOISY = _el(
+    [
+        (0, 0), (0, 1), (1, 0), (0, 1), (0, 2), (3, 3), (1, 3), (2, 4),
+        (5, 5), (3, 5), (4, 5), (5, 6), (6, 5), (5, 6), (1, 2), (7, 7),
+        (7, 8), (8, 9), (9, 9), (9, 7), (10, 10), (11, 11), (0, 1),
+    ],
+    12,
+)
+NOISY_TREE = (0, 0, 0, 1, 2, 3, 5, -1, -1, -1, -1, -1)
+
+
+def _noisy_tree(**changes):
+    tree = np.array(NOISY_TREE, dtype=np.int64)
+    for key, parent in changes.items():
+        tree[int(key[1:])] = parent
+    return tree
+
+
+NEVER_REACH = (
+    "rule1: {} vertices have parent pointers that never reach the root "
+    "(cycle or dangling parent), e.g. vertex {}"
+)
+HALF_VISITED = (
+    "rule5: edge ({}, {}) connects a visited vertex to an unvisited one — "
+    "the tree does not span the root's component"
+)
+
+# (tree, first violation, every violation), pinned from the validator as
+# it was before rules 3-5 were fused; the messages must not drift.
+PINNED = {
+    "valid": (_noisy_tree(), None, ()),
+    "rule1_cycle": (
+        _noisy_tree(v3=5, v5=3),
+        NEVER_REACH.format(3, 3),
+        (NEVER_REACH.format(3, 3), HALF_VISITED.format(1, 3)),
+    ),
+    "rule1_root": (
+        _noisy_tree(v0=1),
+        "rule1: tree[root] must equal root, got 1",
+        ("rule1: tree[root] must equal root, got 1",),
+    ),
+    "rule1_range": (
+        _noisy_tree(v6=99),
+        "rule1: 1 parent pointers outside [0, 12), e.g. parent[6] = 99",
+        ("rule1: 1 parent pointers outside [0, 12), e.g. parent[6] = 99",),
+    ),
+    # Levels are derived from the parent pointers, so a tree edge always
+    # spans one level once rule 1 holds; a level-skipping parent shows up
+    # as a missing edge instead.
+    "rule2_level_skip": (
+        _noisy_tree(v6=3),
+        "rule3: 1 tree edges absent from the graph, e.g. (6, 3)",
+        ("rule3: 1 tree edges absent from the graph, e.g. (6, 3)",),
+    ),
+    "rule3_fake_edge": (
+        _noisy_tree(v4=1),
+        "rule3: 1 tree edges absent from the graph, e.g. (4, 1)",
+        ("rule3: 1 tree edges absent from the graph, e.g. (4, 1)",),
+    ),
+    "rule4_long_edge": (
+        _noisy_tree(v4=5),
+        "rule4: edge (2, 4) spans levels 1 and 4",
+        ("rule4: edge (2, 4) spans levels 1 and 4",),
+    ),
+    "rule5_unvisited": (
+        _noisy_tree(v6=-1),
+        HALF_VISITED.format(5, 6),
+        (HALF_VISITED.format(5, 6),),
+    ),
+    "rule5_other_component": (
+        _noisy_tree(v7=7),
+        NEVER_REACH.format(1, 7),
+        (
+            NEVER_REACH.format(1, 7),
+            "rule3: 1 tree edges absent from the graph, e.g. (7, 7)",
+        ),
+    ),
+    "rule4_and_rule5": (
+        _noisy_tree(v4=5, v6=-1),
+        "rule4: edge (2, 4) spans levels 1 and 4",
+        ("rule4: edge (2, 4) spans levels 1 and 4", HALF_VISITED.format(5, 6)),
+    ),
+    "rule3_and_rule5": (
+        _noisy_tree(v4=1, v6=-1, v8=0),
+        "rule3: 2 tree edges absent from the graph, e.g. (4, 1)",
+        (
+            "rule3: 2 tree edges absent from the graph, e.g. (4, 1)",
+            HALF_VISITED.format(5, 6),
+        ),
+    ),
+    "rule1_rule3_rule5": (
+        _noisy_tree(v3=5, v5=3, v4=1, v2=-1),
+        NEVER_REACH.format(3, 3),
+        (
+            NEVER_REACH.format(3, 3),
+            "rule3: 1 tree edges absent from the graph, e.g. (4, 1)",
+            HALF_VISITED.format(0, 2),
+        ),
+    ),
+}
+
+
+class TestPinnedViolationMessages:
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_first_violation(self, case):
+        tree, first, _ = PINNED[case]
+        res = validate_bfs_tree(NOISY, tree, 0)
+        assert res.ok is (first is None)
+        assert res.violations == (() if first is None else (first,))
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_collect_all(self, case):
+        tree, _, every = PINNED[case]
+        res = validate_bfs_tree(NOISY, tree, 0, collect_all=True)
+        assert res.violations == every
+
+    def test_valid_tree_levels(self):
+        res = validate_bfs_tree(NOISY, _noisy_tree(), 0)
+        assert res.levels.tolist() == [0, 1, 1, 2, 2, 3, 4, -1, -1, -1, -1, -1]
+        assert res.n_tree_vertices == 7
+
+    def test_rule5_next_to_the_deepest_possible_level(self):
+        # A path 0-1-...-7 whose tree stops one short: vertex 6 sits at
+        # level n - 2, the deepest a vertex can be next to an unvisited one.
+        n = 8
+        path = _el([(i, i + 1) for i in range(n - 1)], n)
+        tree = np.array([0, 0, 1, 2, 3, 4, 5, -1], dtype=np.int64)
+        res = validate_bfs_tree(path, tree, 0)
+        assert res.violations == (HALF_VISITED.format(6, 7),)
