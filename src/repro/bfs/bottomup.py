@@ -25,13 +25,15 @@ same step drives in-DRAM shards and the partially offloaded shards of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.csr.graph import CSRGraph
 from repro.bfs.state import BFSState
 from repro.util.gather import first_hit_rows
+
+if TYPE_CHECKING:  # repro.csr -> repro.semiext.tiered imports this module
+    from repro.csr.graph import CSRGraph
 
 __all__ = ["ScanOutcome", "BottomUpScanner", "InMemoryScanner", "bottom_up_step"]
 

@@ -8,7 +8,11 @@ bottom-up direction's data in DRAM buys orders of magnitude.
 
 :class:`FullyExternalBFS` reproduces the *data placement* of that
 approach — the whole CSR (index and value files) on the device, every
-edge scan a device read — with two simplifications documented here:
+edge scan a device read — as one configuration of the hybrid level loop
+(:class:`~repro.bfs.hybrid.HybridBFS`): a single external top-down shard
+over a one-node topology, pinned top-down by
+:class:`~repro.bfs.policies.FixedPolicy`.  Two simplifications are
+documented here:
 
 * the traversal is level-synchronous top-down rather than Pearce's
   asynchronous visitor queues (the visitor machinery changes *when* I/O
@@ -27,33 +31,25 @@ hybrid schedule leaves on the device.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
-import numpy as np
-
-from repro.bfs.metrics import BFSResult, Direction, LevelTrace, record_run_spans
-from repro.bfs.state import UNVISITED
+from repro.bfs.hybrid import HybridBFS
+from repro.bfs.metrics import Direction
+from repro.bfs.policies import FixedPolicy
 from repro.csr.graph import CSRGraph
 from repro.csr.io import ExternalCSR, offload_csr
 from repro.errors import ConfigurationError
-from repro.obs.schema import (
-    M_BFS_DISCOVERED,
-    M_BFS_EDGES,
-    M_BFS_FRONTIER,
-    M_BFS_LEVEL_SECONDS,
-    M_BFS_LEVELS,
-    M_BFS_RUNS,
-    M_BFS_TRAVERSED,
-)
+from repro.numa.topology import NumaTopology
 from repro.perfmodel.cost import DramCostModel
 from repro.semiext.storage import NVMStore
-from repro.util.timer import Timer
 
 __all__ = ["FullyExternalBFS"]
 
 
-class FullyExternalBFS:
-    """Top-down BFS over a CSR resident entirely on simulated NVM."""
+class FullyExternalBFS(HybridBFS):
+    """Top-down BFS over a CSR resident entirely on simulated NVM.
+
+    There is no backward graph, hence no bottom-up scanner and no
+    degraded mode: a device failure propagates to the caller.
+    """
 
     def __init__(
         self,
@@ -66,11 +62,16 @@ class FullyExternalBFS:
             raise ConfigurationError("FullyExternalBFS requires a square CSR")
         self.external = external
         self.store = store
-        self.cost_model = cost_model
-        self.clock = store.clock
-        self.obs = obs if obs is not None else store.obs
-        self.obs.bind_clock(self.clock)
-        self._degrees = external.degrees_uncharged()
+        self._configure(
+            NumaTopology(n_nodes=1, cores_per_node=1),
+            external.degrees_uncharged(),
+            FixedPolicy(Direction.TOP_DOWN),
+            top_down_shards=[external],
+            scanners=[],
+            cost_model=cost_model,
+            clock=store.clock,
+            obs=obs if obs is not None else store.obs,
+        )
 
     @classmethod
     def offload(
@@ -83,167 +84,6 @@ class FullyExternalBFS:
     ) -> "FullyExternalBFS":
         """Write the whole CSR to the store and build the engine."""
         return cls(offload_csr(graph, store, prefix), store, cost_model, obs=obs)
-
-    def run(
-        self,
-        root: int,
-        max_levels: int | None = None,
-        checkpointer=None,
-    ) -> BFSResult:
-        """Run one BFS from ``root``; every edge scan reads the device.
-
-        ``checkpointer`` follows the same level-boundary hook contract as
-        :meth:`repro.bfs.hybrid.HybridBFS.run`.
-        """
-        n = self.external.n_rows
-        if not 0 <= root < n:
-            raise ConfigurationError(f"root {root} outside [0, {n})")
-        parent = np.full(n, UNVISITED, dtype=np.int64)
-        parent[root] = root
-        frontier = np.array([root], dtype=np.int64)
-        return self._traverse(
-            parent, frontier, root,
-            level=0, max_levels=max_levels, checkpointer=checkpointer,
-        )
-
-    def resume(
-        self,
-        parent: np.ndarray,
-        frontier_queue: np.ndarray,
-        *,
-        root: int,
-        level: int,
-        max_levels: int | None = None,
-        checkpointer=None,
-    ) -> BFSResult:
-        """Re-enter the top-down loop from restored (parent, frontier).
-
-        The loop carries nothing else, so the continued traversal is
-        bit-identical to one that never stopped; traces and times cover
-        the resumed portion only.
-        """
-        return self._traverse(
-            np.asarray(parent, dtype=np.int64).copy(),
-            np.asarray(frontier_queue, dtype=np.int64),
-            root,
-            level=level, max_levels=max_levels, checkpointer=checkpointer,
-        )
-
-    def _traverse(
-        self,
-        parent: np.ndarray,
-        frontier: np.ndarray,
-        root: int,
-        *,
-        level: int,
-        max_levels: int | None,
-        checkpointer,
-    ) -> BFSResult:
-        think = (
-            self.cost_model.per_request_think_time_s(
-                self.store.chunk_bytes / 8.0
-            )
-            if self.cost_model is not None
-            else 0.0
-        )
-        traces: list[LevelTrace] = []
-        total_wall = Timer()
-        modeled_start = self.clock.now()
-        obs = self.obs
-        obs.counter(M_BFS_RUNS, engine=type(self).__name__).inc()
-        level_bounds: list[tuple[float, float]] = []
-        io0 = self.store.iostats
-        while frontier.size:
-            if max_levels is not None and level >= max_levels:
-                break
-            req0, bytes0, busy0 = (
-                io0.n_requests, io0.total_bytes, io0.busy_time_s,
-            )
-            t0 = self.clock.now()
-            wall = Timer()
-            with total_wall, wall:
-                neighbors, counts = self.external.gather_rows(
-                    frontier, think_time_s=think
-                )
-                scanned = int(counts.sum()) if counts.size else 0
-                parents_rep = np.repeat(frontier, counts)
-                mask = parent[neighbors] == UNVISITED
-                winners, first_idx = np.unique(
-                    neighbors[mask], return_index=True
-                )
-                parent[winners] = parents_rep[mask][first_idx]
-                next_frontier = winners
-            if self.cost_model is not None:
-                # Queue bookkeeping only: edge CPU rode in as think time.
-                self.clock.advance(
-                    self.cost_model.level_time_s(
-                        edges_scanned=0,
-                        frontier_size=int(frontier.size),
-                        next_size=int(next_frontier.size),
-                    )
-                )
-            t1 = self.clock.now()
-            level_bounds.append((t0, t1))
-            obs.counter(M_BFS_LEVELS, direction=Direction.TOP_DOWN.value).inc()
-            obs.counter(
-                M_BFS_EDGES, direction=Direction.TOP_DOWN.value, medium="nvm"
-            ).inc(scanned)
-            obs.counter(
-                M_BFS_DISCOVERED, direction=Direction.TOP_DOWN.value
-            ).inc(int(next_frontier.size))
-            obs.histogram(M_BFS_LEVEL_SECONDS).observe(t1 - t0)
-            obs.histogram(M_BFS_FRONTIER).observe(int(frontier.size))
-            obs.track("bfs.frontier_vertices", int(frontier.size))
-            traces.append(
-                LevelTrace(
-                    level=level,
-                    direction=Direction.TOP_DOWN,
-                    frontier_size=int(frontier.size),
-                    next_size=int(next_frontier.size),
-                    edges_scanned=scanned,
-                    wall_time_s=wall.elapsed,
-                    modeled_time_s=t1 - t0,
-                    edges_scanned_nvm=scanned,
-                    nvm_requests=io0.n_requests - req0,
-                    nvm_bytes=io0.total_bytes - bytes0,
-                    nvm_time_s=io0.busy_time_s - busy0,
-                )
-            )
-            prev_size = int(frontier.size)
-            frontier = next_frontier
-            level += 1
-            if checkpointer is not None:
-                checkpointer(
-                    SimpleNamespace(
-                        root=root,
-                        parent=parent,
-                        frontier_queue=frontier,
-                        frontier_size=int(frontier.size),
-                    ),
-                    level,
-                    Direction.TOP_DOWN,
-                    prev_size,
-                    0,
-                )
-        traversed = int(self._degrees[parent >= 0].sum()) // 2
-        obs.counter(M_BFS_TRAVERSED).inc(traversed)
-        record_run_spans(
-            obs,
-            type(self).__name__,
-            root,
-            modeled_start,
-            self.clock.now(),
-            traces,
-            level_bounds,
-        )
-        return BFSResult(
-            parent=parent,
-            root=root,
-            traces=tuple(traces),
-            traversed_edges=traversed,
-            wall_time_s=total_wall.elapsed,
-            modeled_time_s=self.clock.now() - modeled_start,
-        )
 
     def __repr__(self) -> str:
         return (

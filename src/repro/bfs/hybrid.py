@@ -1,14 +1,19 @@
-"""The hybrid BFS engine (paper §III–§IV).
+"""The hybrid BFS engine (paper §III–§IV) and the one level loop.
 
-:class:`HybridBFS` runs the level loop shared by every configuration:
+:class:`HybridBFS` runs the level loop every single-query engine under
+test is a configuration of — DRAM-only, semi-external
+(:class:`~repro.bfs.semi_external.SemiExternalBFS`) and fully-external
+(:class:`~repro.bfs.fully_external.FullyExternalBFS`):
 
 1. ask the :class:`~repro.bfs.policies.DirectionPolicy` for the level's
-   direction (the paper's α/β rule by default);
+   direction (the paper's α/β rule by default) from the
+   :class:`~repro.bfs.loop.LevelCursor`;
 2. execute the vectorized top-down or bottom-up step over the
-   NUMA-partitioned forward/backward graphs;
-3. charge the DRAM cost model (and, in subclasses, collect the NVM device
-   charges the step already pushed onto the shared simulated clock);
-4. record a :class:`~repro.bfs.metrics.LevelTrace`.
+   configured top-down shards and bottom-up scanners;
+3. charge the DRAM cost model for the DRAM-resident probes (the device
+   model has already paid for NVM-resident ones);
+4. record a :class:`~repro.bfs.metrics.LevelTrace` and its ``bfs.*``
+   series (:func:`~repro.bfs.loop.record_level`).
 
 The engine is deterministic: given (graph, root, policy) the parent array,
 the traces and the modeled time are reproducible bit-for-bit.
@@ -19,25 +24,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bfs.bottomup import BottomUpScanner, InMemoryScanner, bottom_up_step
+from repro.bfs.loop import LevelCursor, record_level
 from repro.bfs.parallel import ShardExecutor
 from repro.bfs.metrics import BFSResult, Direction, LevelTrace, record_run_spans
-from repro.bfs.policies import DirectionPolicy, PolicyInputs
+from repro.bfs.policies import DirectionPolicy
 from repro.bfs.state import BFSState
 from repro.bfs.topdown import top_down_step
 from repro.csr.partition import BackwardGraph, ForwardGraph
 from repro.errors import ConfigurationError, DeviceFailedError
-from repro.obs.schema import (
-    M_BFS_DEGRADED,
-    M_BFS_DISCOVERED,
-    M_BFS_EDGES,
-    M_BFS_FRONTIER,
-    M_BFS_LEVEL_SECONDS,
-    M_BFS_LEVELS,
-    M_BFS_RUNS,
-    M_BFS_TRAVERSED,
-)
+from repro.numa.topology import NumaTopology
+from repro.obs.schema import M_BFS_RUNS, M_BFS_TRAVERSED
 from repro.obs.session import NULL, Observability
-from repro.perfmodel.cost import DramCostModel
+from repro.perfmodel.cost import DramCostModel, request_think_time_s
 from repro.semiext.clock import SimulatedClock
 from repro.util.timer import Timer
 
@@ -77,6 +75,9 @@ class HybridBFS:
         :data:`~repro.obs.NULL` session.
     """
 
+    #: NVM store behind the external shards of a configuration (none here).
+    store = None
+
     def __init__(
         self,
         forward: ForwardGraph,
@@ -95,38 +96,57 @@ class HybridBFS:
             raise ConfigurationError("forward/backward graphs disagree on topology")
         self.forward = forward
         self.backward = backward
-        self.topology = forward.topology
+        self._configure(
+            forward.topology,
+            # Global degrees drive Beamer-style policies and the TEPS
+            # numerator.
+            backward.global_degrees(),
+            policy,
+            top_down_shards=list(forward.shards),
+            scanners=[InMemoryScanner(s) for s in backward.shards],
+            cost_model=cost_model,
+            clock=clock,
+            obs=obs,
+            n_workers=n_workers,
+        )
+
+    def _configure(
+        self,
+        topology: NumaTopology,
+        degrees: np.ndarray,
+        policy: DirectionPolicy,
+        *,
+        top_down_shards: list,
+        scanners: list[BottomUpScanner],
+        cost_model: DramCostModel | None,
+        clock: SimulatedClock | None,
+        obs: Observability | None,
+        n_workers: int | None = None,
+    ) -> None:
+        """Set what the level loop reads; every configuration calls this."""
+        self.topology = topology
         self.policy = policy
         self.cost_model = cost_model
         self.clock = clock if clock is not None else SimulatedClock()
         self.obs = obs if obs is not None else NULL
         self.obs.bind_clock(self.clock)
-        self.n_vertices = forward.n_vertices
-        # Global degrees drive Beamer-style policies and the TEPS numerator.
-        self._degrees = backward.global_degrees()
-        self._total_directed = int(self._degrees.sum())
-        self._scanners = self._make_scanners()
+        self.n_vertices = int(degrees.size)
+        self._degrees = degrees
+        self._total_directed = int(degrees.sum())
+        self._top_down_shards = top_down_shards
+        self._scanners = scanners
         self.executor = (
             ShardExecutor(n_workers) if n_workers is not None else None
         )
 
-    # -- extension points (overridden by the semi-external engine) -----------------
-
-    def _top_down_shards(self) -> list:
-        """Adjacency sources for the top-down step."""
-        return list(self.forward.shards)
-
-    def _make_scanners(self) -> list[BottomUpScanner]:
-        """Bottom-up scanners, one per NUMA shard."""
-        return [InMemoryScanner(s) for s in self.backward.shards]
-
-    def _think_time_s(self) -> float:
-        """Per-request CPU overlap for the NVM queueing model (unused here)."""
-        return 0.0
+    # -- store readings and degraded-mode hooks (the semi-external engine
+    #    overrides the latter) ---------------------------------------------------
 
     def _device_health(self) -> float:
         """Health of the device behind top-down reads (1.0 = no device)."""
-        return 1.0
+        if self.store is None:
+            return 1.0
+        return self.store.health.health_score()
 
     def _effective_direction(self, direction: Direction) -> Direction:
         """Final say on a level's direction (degraded-mode override)."""
@@ -141,7 +161,7 @@ class HybridBFS:
 
         Returns ``True`` when the engine can continue in degraded mode
         (bottom-up only, in-DRAM backward graph); the base engine has no
-        device, so a device failure reaching it is a bug — re-raise.
+        such fallback, so a device failure reaching it is re-raised.
         """
         return False
 
@@ -151,32 +171,29 @@ class HybridBFS:
         return False
 
     def _io_counters(self) -> tuple[int, int, float]:
-        """(requests, bytes, busy seconds) issued so far; none in DRAM."""
-        return 0, 0, 0.0
+        """(requests, bytes, busy seconds) the store has issued so far."""
+        if self.store is None:
+            return 0, 0, 0.0
+        st = self.store.iostats
+        return st.n_requests, st.total_bytes, st.busy_time_s
 
-    def _charge_level(
-        self,
-        direction: Direction,
-        scanned_dram: int,
-        scanned_nvm: int,
-        frontier_size: int,
-        next_size: int,
-    ) -> None:
-        """Charge the DRAM cost model for one level.
-
-        The base engine charges every probe; the semi-external engine
-        overrides this to charge only DRAM-resident probes, because the
-        CPU work on NVM-fetched edges already entered the device queueing
-        model as per-request think time.
-        """
-        if self.cost_model is None:
-            return
-        self.clock.advance(
-            self.cost_model.level_time_s(
-                edges_scanned=scanned_dram + scanned_nvm,
-                frontier_size=frontier_size,
-                next_size=next_size,
+    def _step(
+        self, direction: Direction, state: BFSState, think_time_s: float
+    ) -> tuple:
+        """Expand one level in ``direction``: (next queue, dram, nvm)."""
+        if direction is Direction.TOP_DOWN:
+            return top_down_step(
+                self._top_down_shards,
+                state,
+                think_time_s,
+                executor=self.executor,
+                obs=self.obs,
             )
+        return bottom_up_step(
+            self._active_scanners(),
+            state,
+            executor=self.executor,
+            obs=self.obs,
         )
 
     # -- the level loop ------------------------------------------------------------
@@ -191,20 +208,17 @@ class HybridBFS:
 
         ``max_levels`` is a safety valve for tests; a valid input graph
         never needs it (the frontier empties by itself).  ``checkpointer``
-        is an optional callable invoked at every level boundary with
-        ``(state, level, direction, prev_frontier, visited_deg_sum)`` —
-        the recovery layer's hook for persisting an epoch (and for seeded
-        crash injection, which raises
-        :class:`~repro.errors.ProcessCrashError` through this loop).
+        is an optional callable invoked at every level boundary as
+        ``checkpointer(state, cursor)`` with the
+        :class:`~repro.bfs.state.BFSState` and the advanced
+        :class:`~repro.bfs.loop.LevelCursor` — the recovery layer's hook
+        for persisting an epoch (and for seeded crash injection, which
+        raises :class:`~repro.errors.ProcessCrashError` through this loop).
         """
         state = BFSState(self.n_vertices, self.topology, root)
-        self.policy.reset()
-        return self._traverse(
+        return self.resume(
             state,
-            level=0,
-            direction=Direction.TOP_DOWN,
-            prev_frontier=0,
-            visited_deg_sum=int(self._degrees[root]),
+            LevelCursor.start(self._degrees, root),
             max_levels=max_levels,
             checkpointer=checkpointer,
         )
@@ -212,46 +226,21 @@ class HybridBFS:
     def resume(
         self,
         state: BFSState,
-        *,
-        level: int,
-        direction: Direction,
-        prev_frontier: int,
-        visited_deg_sum: int,
+        cursor: LevelCursor,
         max_levels: int | None = None,
         checkpointer=None,
     ) -> BFSResult:
-        """Re-enter the level loop from restored mid-run state.
+        """Run the level loop from ``state`` and ``cursor`` to the end.
 
-        The cursor arguments are exactly the loop-carried values a
-        checkpoint records (see :mod:`repro.recovery`).  The direction
-        policy is stateless between levels, so restoring these plus the
-        :class:`~repro.bfs.state.BFSState` makes the continued traversal
-        bit-identical to one that never stopped.  The returned result's
-        traces and times cover the resumed portion only; the parent array
-        is the full tree.
+        :meth:`run` enters here with a fresh state; the recovery layer
+        enters with state restored from a checkpoint (see
+        :mod:`repro.recovery`).  The direction policy is stateless
+        between levels, so the continued traversal is bit-identical to
+        one that never stopped.  The returned result's traces and times
+        cover the levels run here only; the parent array is the full
+        tree.  ``cursor`` is advanced in place.
         """
         self.policy.reset()
-        return self._traverse(
-            state,
-            level=level,
-            direction=direction,
-            prev_frontier=prev_frontier,
-            visited_deg_sum=visited_deg_sum,
-            max_levels=max_levels,
-            checkpointer=checkpointer,
-        )
-
-    def _traverse(
-        self,
-        state: BFSState,
-        *,
-        level: int,
-        direction: Direction,
-        prev_frontier: int,
-        visited_deg_sum: int,
-        max_levels: int | None,
-        checkpointer,
-    ) -> BFSResult:
         root = state.root
         traces: list[LevelTrace] = []
         total_wall = Timer()
@@ -259,45 +248,30 @@ class HybridBFS:
         obs = self.obs
         obs.counter(M_BFS_RUNS, engine=type(self).__name__).inc()
         level_bounds: list[tuple[float, float]] = []
+        think = request_think_time_s(self.cost_model, self.store)
         while state.frontier_size > 0:
-            if max_levels is not None and level >= max_levels:
+            if max_levels is not None and cursor.level >= max_levels:
                 break
             frontier_size = state.frontier_size
-            frontier_edges = int(self._degrees[state.frontier_queue].sum())
-            direction = self.policy.decide(
-                PolicyInputs(
-                    level=level,
-                    current=direction,
-                    n_frontier=frontier_size,
-                    n_frontier_prev=prev_frontier,
-                    n_all=self.n_vertices,
-                    frontier_edges=frontier_edges,
-                    unvisited_edges=self._total_directed - visited_deg_sum,
-                    device_health=self._device_health(),
+            direction = self._effective_direction(
+                self.policy.decide(
+                    cursor.policy_inputs(
+                        state,
+                        self._degrees,
+                        self._total_directed,
+                        self._device_health(),
+                    )
                 )
             )
-            direction = self._effective_direction(direction)
             was_degraded = self.degraded_mode
             io_req0, io_bytes0, io_busy0 = self._io_counters()
             t_level0 = self.clock.now()
             wall = Timer()
             with total_wall, wall:
                 try:
-                    if direction is Direction.TOP_DOWN:
-                        next_queue, scanned_dram, scanned_nvm = top_down_step(
-                            self._top_down_shards(),
-                            state,
-                            self._think_time_s(),
-                            executor=self.executor,
-                            obs=obs,
-                        )
-                    else:
-                        next_queue, scanned_dram, scanned_nvm = bottom_up_step(
-                            self._active_scanners(),
-                            state,
-                            executor=self.executor,
-                            obs=obs,
-                        )
+                    next_queue, scanned_dram, scanned_nvm = self._step(
+                        direction, state, think
+                    )
                 except DeviceFailedError:
                     # The device died (or its breaker opened) mid-level.
                     # No discovery was committed before the raise, so the
@@ -306,64 +280,48 @@ class HybridBFS:
                     if not self._enter_degraded():
                         raise
                     direction = Direction.BOTTOM_UP
-                    next_queue, scanned_dram, scanned_nvm = bottom_up_step(
-                        self._active_scanners(),
-                        state,
-                        executor=self.executor,
-                        obs=obs,
+                    next_queue, scanned_dram, scanned_nvm = self._step(
+                        direction, state, think
                     )
-            scanned = scanned_dram + scanned_nvm
-            self._charge_level(
-                direction,
-                scanned_dram,
-                scanned_nvm,
-                frontier_size,
-                int(next_queue.size),
-            )
+            next_size = int(next_queue.size)
+            if self.cost_model is not None:
+                # NVM-resident probes are already paid for (device service
+                # plus think time; page-cache hits through the store's
+                # cache_hit_time_per_byte): charge the DRAM-resident probes
+                # and the queue bookkeeping only.
+                self.clock.advance(
+                    self.cost_model.level_time_s(
+                        edges_scanned=scanned_dram,
+                        frontier_size=frontier_size,
+                        next_size=next_size,
+                    )
+                )
             io_req1, io_bytes1, io_busy1 = self._io_counters()
             t_level1 = self.clock.now()
             level_bounds.append((t_level0, t_level1))
-            dirname = direction.value
-            obs.counter(M_BFS_LEVELS, direction=dirname).inc()
-            obs.counter(M_BFS_EDGES, direction=dirname, medium="dram").inc(
-                scanned_dram
+            trace = LevelTrace(
+                level=cursor.level,
+                direction=direction,
+                frontier_size=frontier_size,
+                next_size=next_size,
+                edges_scanned=scanned_dram + scanned_nvm,
+                wall_time_s=wall.elapsed,
+                modeled_time_s=t_level1 - t_level0,
+                edges_scanned_nvm=scanned_nvm,
+                nvm_requests=io_req1 - io_req0,
+                nvm_bytes=io_bytes1 - io_bytes0,
+                nvm_time_s=io_busy1 - io_busy0,
+                degraded=was_degraded or self.degraded_mode,
             )
-            if scanned_nvm:
-                obs.counter(M_BFS_EDGES, direction=dirname, medium="nvm").inc(
-                    scanned_nvm
-                )
-            obs.counter(M_BFS_DISCOVERED, direction=dirname).inc(
-                int(next_queue.size)
-            )
-            if was_degraded or self.degraded_mode:
-                obs.counter(M_BFS_DEGRADED).inc()
-            obs.histogram(M_BFS_LEVEL_SECONDS).observe(t_level1 - t_level0)
-            obs.histogram(M_BFS_FRONTIER).observe(frontier_size)
+            traces.append(trace)
+            record_level(obs, trace)
             obs.track("bfs.frontier_vertices", frontier_size)
-            traces.append(
-                LevelTrace(
-                    level=level,
-                    direction=direction,
-                    frontier_size=frontier_size,
-                    next_size=int(next_queue.size),
-                    edges_scanned=scanned,
-                    wall_time_s=wall.elapsed,
-                    modeled_time_s=self.clock.now() - t_level0,
-                    edges_scanned_nvm=scanned_nvm,
-                    nvm_requests=io_req1 - io_req0,
-                    nvm_bytes=io_bytes1 - io_bytes0,
-                    nvm_time_s=io_busy1 - io_busy0,
-                    degraded=was_degraded or self.degraded_mode,
-                )
+            cursor.advance(
+                direction, frontier_size, self._degrees[next_queue].sum()
             )
-            visited_deg_sum += int(self._degrees[next_queue].sum())
-            prev_frontier = frontier_size
             state.promote_next(next_queue)
-            level += 1
             if checkpointer is not None:
-                checkpointer(
-                    state, level, direction, prev_frontier, visited_deg_sum
-                )
+                checkpointer(state, cursor)
         traversed = int(self._degrees[state.parent >= 0].sum()) // 2
         obs.counter(M_BFS_TRAVERSED).inc(traversed)
         record_run_spans(

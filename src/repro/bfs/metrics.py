@@ -17,10 +17,7 @@ import numpy as np
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import (
     M_BFS_DEGRADED,
-    M_BFS_DISCOVERED,
     M_BFS_EDGES,
-    M_BFS_FRONTIER,
-    M_BFS_LEVEL_SECONDS,
     M_BFS_LEVELS,
     M_BFS_TRAVERSED,
 )
@@ -124,26 +121,18 @@ class BFSResult:
 
         The registry carries exactly the ``bfs.*`` series a live
         :class:`~repro.obs.Observability` session would have recorded
-        for this run alone — the aggregate views below read from it, so
+        for this run alone (both go through
+        :func:`~repro.bfs.loop.record_level`; ``bfs.runs_total`` is the
+        one live-only series) — the aggregate views below read from it, so
         a stored :class:`BFSResult` and a live session answer the same
         questions through the same metric names.
         """
+        # Deferred: repro.bfs.loop imports this module.
+        from repro.bfs.loop import record_level
+
         reg = MetricsRegistry()
         for t in self.traces:
-            d = t.direction.value
-            reg.counter(M_BFS_LEVELS, direction=d).inc()
-            reg.counter(M_BFS_EDGES, direction=d, medium="dram").inc(
-                t.edges_scanned - t.edges_scanned_nvm
-            )
-            if t.edges_scanned_nvm:
-                reg.counter(M_BFS_EDGES, direction=d, medium="nvm").inc(
-                    t.edges_scanned_nvm
-                )
-            reg.counter(M_BFS_DISCOVERED, direction=d).inc(t.next_size)
-            if t.degraded:
-                reg.counter(M_BFS_DEGRADED).inc()
-            reg.histogram(M_BFS_LEVEL_SECONDS).observe(t.modeled_time_s)
-            reg.histogram(M_BFS_FRONTIER).observe(t.frontier_size)
+            record_level(reg, t)
         reg.counter(M_BFS_TRAVERSED).inc(self.traversed_edges)
         return reg
 

@@ -16,25 +16,22 @@ This engine reproduces those structural handicaps:
   dedups through its shared queue).
 
 The parent trees it produces validate identically to the hybrid engines'.
+It keeps its own traversal step, independent of the shared kernels in
+:mod:`repro.bfs.topdown`, because it is the conformance oracle every
+other engine is diffed against; it shares only the per-level recorder
+(:func:`~repro.bfs.loop.record_level`) and the span synthesis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bfs.loop import record_level
 from repro.bfs.metrics import BFSResult, Direction, LevelTrace, record_run_spans
 from repro.bfs.state import UNVISITED
 from repro.csr.graph import CSRGraph
 from repro.errors import ConfigurationError
-from repro.obs.schema import (
-    M_BFS_DISCOVERED,
-    M_BFS_EDGES,
-    M_BFS_FRONTIER,
-    M_BFS_LEVEL_SECONDS,
-    M_BFS_LEVELS,
-    M_BFS_RUNS,
-    M_BFS_TRAVERSED,
-)
+from repro.obs.schema import M_BFS_RUNS, M_BFS_TRAVERSED
 from repro.obs.session import NULL
 from repro.perfmodel.cost import DramCostModel
 from repro.semiext.clock import SimulatedClock
@@ -107,27 +104,18 @@ class ReferenceBFS:
                 )
             t1 = self.clock.now()
             level_bounds.append((t0, t1))
-            obs.counter(M_BFS_LEVELS, direction=Direction.TOP_DOWN.value).inc()
-            obs.counter(
-                M_BFS_EDGES, direction=Direction.TOP_DOWN.value, medium="dram"
-            ).inc(scanned)
-            obs.counter(
-                M_BFS_DISCOVERED, direction=Direction.TOP_DOWN.value
-            ).inc(int(next_frontier.size))
-            obs.histogram(M_BFS_LEVEL_SECONDS).observe(t1 - t0)
-            obs.histogram(M_BFS_FRONTIER).observe(int(frontier.size))
-            obs.track("bfs.frontier_vertices", int(frontier.size))
-            traces.append(
-                LevelTrace(
-                    level=level,
-                    direction=Direction.TOP_DOWN,
-                    frontier_size=int(frontier.size),
-                    next_size=int(next_frontier.size),
-                    edges_scanned=scanned,
-                    wall_time_s=wall.elapsed,
-                    modeled_time_s=t1 - t0,
-                )
+            trace = LevelTrace(
+                level=level,
+                direction=Direction.TOP_DOWN,
+                frontier_size=int(frontier.size),
+                next_size=int(next_frontier.size),
+                edges_scanned=scanned,
+                wall_time_s=wall.elapsed,
+                modeled_time_s=t1 - t0,
             )
+            traces.append(trace)
+            record_level(obs, trace)
+            obs.track("bfs.frontier_vertices", int(frontier.size))
             frontier = next_frontier
             level += 1
         traversed = int(self._degrees[parent >= 0].sum()) // 2

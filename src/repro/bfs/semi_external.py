@@ -9,8 +9,8 @@ backward graph is *partially* offloaded too (§VI-E), via the scanners in
 
 Cost accounting (each scanned edge is paid exactly once):
 
-* edges whose adjacency came from DRAM — charged by the engine through
-  the DRAM cost model (:meth:`_charge_level`, DRAM-resident probes only);
+* edges whose adjacency came from DRAM — charged by the level loop
+  through the DRAM cost model (DRAM-resident probes only);
 * edges fetched from the device — their CPU share enters the queueing
   model as per-request *think time* (which is also what reproduces the
   paper's Figure 12 queue-length contrast: the faster device drains its
@@ -61,9 +61,6 @@ class SemiExternalBFS(HybridBFS):
                 f"({forward.topology.n_nodes}), got {len(external_shards)}"
             )
         self.store = store
-        self._external_shards = external_shards
-        self._backward_scanners = backward_scanners
-        self._degraded = False
         # The engine and the storage layer must share one clock so DRAM and
         # NVM charges accumulate on the same axis; likewise one
         # observability session (the store's, unless overridden), so
@@ -76,6 +73,11 @@ class SemiExternalBFS(HybridBFS):
             clock=store.clock,
             obs=obs if obs is not None else store.obs,
         )
+        self._top_down_shards = list(external_shards)
+        # Partial-offload scanners, when configured; the in-DRAM scanners
+        # the base engine built stay around as the degraded-mode fallback.
+        self._backward_scanners = backward_scanners
+        self._degraded = False
         if cost_model is not None:
             # Page-cache hits are DRAM reads: charge them at the cost
             # model's per-byte probe rate inside the storage layer.
@@ -131,27 +133,12 @@ class SemiExternalBFS(HybridBFS):
             obs=obs,
         )
 
-    # -- engine hooks -------------------------------------------------------------
-
-    def _top_down_shards(self) -> list:
-        return list(self._external_shards)
-
-    def _make_scanners(self) -> list[BottomUpScanner]:
-        # Called from the base constructor, before our fields exist; the
-        # optional partial-offload scanners are swapped in lazily below.
-        # The in-DRAM scanners built here stay around as the degraded-
-        # mode fallback even when partial offload is configured.
-        return super()._make_scanners()
-
     @property
     def scanners(self) -> list[BottomUpScanner]:
         """Active bottom-up scanners (partial offload when configured)."""
         return self._active_scanners()
 
     # -- resilience hooks ---------------------------------------------------------
-
-    def _device_health(self) -> float:
-        return self.store.health.health_score()
 
     @property
     def degraded_mode(self) -> bool:
@@ -180,36 +167,3 @@ class SemiExternalBFS(HybridBFS):
         self._degraded = True
         self.store.resilience.degraded_levels += 1
         return True
-
-    def _think_time_s(self) -> float:
-        # CPU a reader thread spends digesting one 4 KB request's edges
-        # before issuing the next read; enters the closed queueing model.
-        if self.cost_model is None:
-            return 0.0
-        edges_per_request = self.store.chunk_bytes / 8.0
-        return self.cost_model.per_request_think_time_s(edges_per_request)
-
-    def _io_counters(self) -> tuple[int, int, float]:
-        st = self.store.iostats
-        return st.n_requests, st.total_bytes, st.busy_time_s
-
-    def _charge_level(
-        self,
-        direction,
-        scanned_dram: int,
-        scanned_nvm: int,
-        frontier_size: int,
-        next_size: int,
-    ) -> None:
-        # NVM-fetched edges were already paid for (device service + think
-        # time; cache hits via cache_hit_time_per_byte): charge only the
-        # DRAM-resident probes and the queue bookkeeping.
-        if self.cost_model is None:
-            return
-        self.clock.advance(
-            self.cost_model.level_time_s(
-                edges_scanned=scanned_dram,
-                frontier_size=frontier_size,
-                next_size=next_size,
-            )
-        )

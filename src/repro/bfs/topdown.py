@@ -35,9 +35,17 @@ from repro.csr.graph import CSRGraph
 from repro.csr.io import ExternalCSR
 from repro.bfs.parallel import ShardExecutor
 from repro.bfs.state import BFSState
+from repro.util.bitmap import Bitmap
 from repro.util.gather import concat_ranges
 
-__all__ = ["gather_adjacency", "top_down_step"]
+__all__ = [
+    "commit_winners",
+    "first_parent_wins",
+    "gather_adjacency",
+    "top_down_step",
+]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def gather_adjacency(
@@ -68,6 +76,50 @@ class _ShardScan:
     charges: list = field(default_factory=list)
 
 
+def first_parent_wins(
+    frontier: np.ndarray,
+    neighbors: np.ndarray,
+    counts: np.ndarray,
+    visited: Bitmap,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce one scanned adjacency to ``(winners, parents)``.
+
+    ``neighbors`` is the concatenation of the frontier rows (``counts``
+    entries each, in frontier order).  Every unvisited neighbour is won
+    by the first frontier vertex that reaches it: ``np.unique`` returns
+    the first occurrence of each duplicate, matching the "first atomic
+    CAS wins" outcome of the parallel original deterministically (lowest
+    frontier position wins).  ``winners`` come back sorted.
+    """
+    if neighbors.size == 0:
+        return _EMPTY, _EMPTY
+    unvisited = ~visited.test_many(neighbors)
+    if not unvisited.any():
+        return _EMPTY, _EMPTY
+    winners, first_idx = np.unique(neighbors[unvisited], return_index=True)
+    parents = np.repeat(frontier, counts)[unvisited][first_idx]
+    return winners, parents
+
+
+def commit_winners(state: BFSState, parts) -> np.ndarray:
+    """Install per-shard ``(winners, parents)`` pairs, in order, into
+    ``state`` and return the next frontier (sorted, duplicate-free).
+
+    Shards own disjoint destination ranges, so their winners never
+    collide and the commit is a plain concatenation.
+    """
+    next_parts: list[np.ndarray] = []
+    for winners, parents in parts:
+        if winners.size:
+            state.discover(winners, parents)
+            next_parts.append(winners)
+    if not next_parts:
+        return np.empty(0, dtype=np.int64)
+    next_queue = np.concatenate(next_parts)
+    next_queue.sort()
+    return next_queue
+
+
 def _scan_shard(
     shard: CSRGraph | ExternalCSR,
     frontier: np.ndarray,
@@ -81,22 +133,11 @@ def _scan_shard(
         starts, counts = shard.row_extents(frontier)
         neighbors = shard.adj[concat_ranges(starts, counts)]
         charges = []
-    scanned = int(counts.sum()) if counts.size else 0
-    empty = np.empty(0, dtype=np.int64)
-    if neighbors.size == 0:
-        return _ShardScan(empty, empty, scanned, is_external, charges)
-    parents = np.repeat(frontier, counts)
-    unvisited = ~state.visited.test_many(neighbors)
-    if not unvisited.any():
-        return _ShardScan(empty, empty, scanned, is_external, charges)
-    cand_w = neighbors[unvisited]
-    cand_v = parents[unvisited]
-    # First-parent-wins: np.unique returns the first occurrence index of
-    # each duplicate, matching the "first atomic CAS wins" outcome of the
-    # parallel original (deterministically: lowest frontier position wins).
-    winners, first_idx = np.unique(cand_w, return_index=True)
+    winners, parents = first_parent_wins(
+        frontier, neighbors, counts, state.visited
+    )
     return _ShardScan(
-        winners, cand_v[first_idx].copy(), scanned, is_external, charges
+        winners, parents, int(counts.sum()), is_external, charges
     )
 
 
@@ -152,7 +193,6 @@ def top_down_step(
     # applied before any discovery is installed: a charge may raise
     # (device failure under fault injection), and an un-mutated state
     # lets the engine re-run the level bottom-up on the DRAM graph.
-    next_parts: list[np.ndarray] = []
     scanned_dram = 0
     scanned_nvm = 0
     tracing = obs is not None and obs.enabled
@@ -173,13 +213,7 @@ def top_down_step(
             scanned_nvm += outcome.scanned
         else:
             scanned_dram += outcome.scanned
-    for outcome in scans:
-        if outcome.winners.size:
-            state.discover(outcome.winners, outcome.parents)
-            next_parts.append(outcome.winners)
-    if next_parts:
-        next_queue = np.concatenate(next_parts)
-        next_queue.sort()
-    else:
-        next_queue = np.empty(0, dtype=np.int64)
+    next_queue = commit_winners(
+        state, ((outcome.winners, outcome.parents) for outcome in scans)
+    )
     return next_queue, scanned_dram, scanned_nvm

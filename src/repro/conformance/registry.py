@@ -498,16 +498,8 @@ def _recoverable_batched(case: GraphCase, setup: TrialSetup, root: int,
 
     def hook(queries, rounds: int) -> None:
         if any(q.active for q in queries):
-            mgr.save([QuerySnapshot(
-                key="conformance",
-                root=q.root,
-                level=q.level,
-                direction=q.direction.value,
-                prev_frontier=q.prev_frontier,
-                visited_deg_sum=q.visited_deg_sum,
-                parent=q.state.parent,
-                frontier_queue=q.state.frontier_queue,
-            ) for q in queries])
+            mgr.save([QuerySnapshot.at("conformance", q.state, q.cursor)
+                      for q in queries])
         injector = store.injector
         if injector is not None and injector.crash_due(
             store.clock.now(), rounds - 1

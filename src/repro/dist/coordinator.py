@@ -1,9 +1,11 @@
 """Lockstep distributed BFS: a coordinator over partition workers.
 
 :class:`DistributedBFS` runs the same hybrid level loop as
-:class:`~repro.bfs.hybrid.HybridBFS`, but each level's scan is a
-broadcast to :class:`~repro.dist.worker.PartitionWorker` instances
-(in-process or forked — see :mod:`repro.dist.process`):
+:class:`~repro.bfs.hybrid.HybridBFS` — the same
+:class:`~repro.bfs.loop.LevelCursor` carries it from level to level — but
+each level's scan is a broadcast to
+:class:`~repro.dist.worker.PartitionWorker` instances (in-process or
+forked — see :mod:`repro.dist.process`):
 
 1. decide the direction from *globally reduced* quantities — frontier
    size, frontier out-degree sum, remaining unvisited edges, min device
@@ -12,8 +14,8 @@ broadcast to :class:`~repro.dist.worker.PartitionWorker` instances
    (top-down against its NVM-resident forward column shard, bottom-up
    over its DRAM backward rows);
 3. merge: per-partition winners are disjoint by construction, so the
-   commit is a plain concatenation of parent deltas in partition order
-   plus one sort of the next frontier;
+   commit is the single-process shard commit
+   (:func:`~repro.bfs.topdown.commit_winners`) in partition order;
 4. reconcile clocks: the coordinator's simulated clock advances by the
    *max* worker step time plus a per-vertex merge cost — the lockstep
    (BSP) execution model of the Buluç/Beamer distributed-BFS taxonomy.
@@ -39,9 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bfs.loop import LevelCursor
 from repro.bfs.metrics import BFSResult, Direction, LevelTrace
-from repro.bfs.policies import DirectionPolicy, PolicyInputs
+from repro.bfs.policies import DirectionPolicy
 from repro.bfs.state import BFSState
+from repro.bfs.topdown import commit_winners
 from repro.csr.graph import CSRGraph
 from repro.csr.partition import BackwardGraph
 from repro.dist.partition import Partitioner, column_shards, row_shards
@@ -376,10 +380,7 @@ class DistributedBFS:
         traces: list[LevelTrace] = []
         total_wall = Timer()
         modeled_start = self.clock.now()
-        level = 0
-        direction = Direction.TOP_DOWN
-        prev_frontier = 0
-        visited_deg_sum = int(self._degrees[root])
+        cursor = LevelCursor.start(self._degrees, root)
         nvm_bytes_prev = self._nvm_bytes()
         # Each run traces under one id: reuse an already-active context
         # (the serve tier's per-query trace) or mint a fresh run-scoped
@@ -391,23 +392,17 @@ class DistributedBFS:
             "dist.run", root=root, workers=len(self.workers)
         ):
             while state.frontier_size > 0:
-                if max_levels is not None and level >= max_levels:
+                if max_levels is not None and cursor.level >= max_levels:
                     break
+                level = cursor.level
                 frontier = state.frontier_queue
                 frontier_size = state.frontier_size
-                frontier_edges = int(self._degrees[frontier].sum())
-                direction = self.policy.decide(
-                    PolicyInputs(
-                        level=level,
-                        current=direction,
-                        n_frontier=frontier_size,
-                        n_frontier_prev=prev_frontier,
-                        n_all=self.n_vertices,
-                        frontier_edges=frontier_edges,
-                        unvisited_edges=self._total_directed - visited_deg_sum,
-                        device_health=self._device_health(),
-                    )
-                )
+                direction = self.policy.decide(cursor.policy_inputs(
+                    state,
+                    self._degrees,
+                    self._total_directed,
+                    self._device_health(),
+                ))
                 if self.degraded_mode:
                     self._degraded = True
                     direction = Direction.BOTTOM_UP
@@ -431,16 +426,9 @@ class DistributedBFS:
                         scans = self._step_all(
                             direction.value, frontier, level, state
                         )
-                    next_parts: list[np.ndarray] = []
-                    for scan in scans:
-                        if scan.winners.size:
-                            state.discover(scan.winners, scan.parents)
-                            next_parts.append(scan.winners)
-                    if next_parts:
-                        next_queue = np.concatenate(next_parts)
-                        next_queue.sort()
-                    else:
-                        next_queue = np.empty(0, dtype=np.int64)
+                    next_queue = commit_winners(
+                        state, ((scan.winners, scan.parents) for scan in scans)
+                    )
                     next_size = int(next_queue.size)
                     deltas = [scan.clock_delta_s for scan in scans]
                     worker_max = max(deltas)
@@ -500,14 +488,12 @@ class DistributedBFS:
                     )
                 )
                 nvm_bytes_prev = nvm_bytes_now
-                visited_deg_sum += int(self._degrees[next_queue].sum())
-                prev_frontier = frontier_size
+                cursor.advance(
+                    direction, frontier_size, self._degrees[next_queue].sum()
+                )
                 state.promote_next(next_queue)
-                level += 1
                 if checkpointer is not None:
-                    checkpointer(
-                        state, level, direction, prev_frontier, visited_deg_sum
-                    )
+                    checkpointer(state, cursor)
         traversed = int(self._degrees[state.parent >= 0].sum()) // 2
         return BFSResult(
             parent=state.parent,

@@ -20,9 +20,9 @@ crash.
 Charging parity with the single-process engine: NVM-fetched edges pay
 device service plus per-request think time on the worker's own clock
 and page-cache hits pay ``cache_hit_time_per_byte``, while DRAM-resident
-probes are charged through ``cost_model.level_time_s`` — the same split
-as ``SemiExternalBFS._charge_level``, just on a per-worker time axis the
-coordinator reconciles by taking the max.
+probes are charged through ``cost_model.level_time_s`` — the level
+loop's charging rule (:meth:`repro.bfs.hybrid.HybridBFS.resume`), just on
+a per-worker time axis the coordinator reconciles by taking the max.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bfs.bottomup import InMemoryScanner
+from repro.bfs.topdown import first_parent_wins
 from repro.csr.graph import CSRGraph
 from repro.csr.io import ExternalCSR, offload_csr
 from repro.errors import ConfigurationError, ProcessCrashError
 from repro.numa.topology import VertexPartition
 from repro.obs.session import NULL, Observability
 from repro.obs.spans import TraceContext
-from repro.perfmodel.cost import DramCostModel
+from repro.perfmodel.cost import DramCostModel, request_think_time_s
 from repro.semiext.storage import NVMStore
 from repro.util.bitmap import Bitmap
 
@@ -285,36 +286,24 @@ class PartitionWorker:
                     circuit_open=self.store.health.circuit_open,
                 )
 
-    def _think_time_s(self) -> float:
-        if self.cost_model is None:
-            return 0.0
-        edges_per_request = self.store.chunk_bytes / 8.0
-        return self.cost_model.per_request_think_time_s(edges_per_request)
-
     def _top_down(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         """Gather the frontier's out-edges landing in this partition.
 
         First-parent-wins per destination: every destination in this
-        shard is owned here, so ``np.unique``'s first-occurrence
-        reduction resolves each vertex exactly as the single-process
-        shard scan does — partition boundaries cannot change winners.
+        shard is owned here, so the shared reduction resolves each vertex
+        exactly as the single-process shard scan does — partition
+        boundaries cannot change winners.
         """
         neighbors, counts = self.external.gather_rows(
-            frontier, think_time_s=self._think_time_s()
+            frontier,
+            think_time_s=request_think_time_s(self.cost_model, self.store),
         )
-        scanned = int(counts.sum()) if counts.size else 0
-        if neighbors.size == 0:
-            return _EMPTY, _EMPTY, 0, scanned, 0
-        sources = np.repeat(frontier, counts)
-        unvisited = ~self.visited.test_many(neighbors)
-        if not unvisited.any():
-            return _EMPTY, _EMPTY, 0, scanned, 0
-        cand_w = neighbors[unvisited]
-        cand_v = sources[unvisited]
-        winners, first_idx = np.unique(cand_w, return_index=True)
-        return winners, cand_v[first_idx].copy(), 0, scanned, int(winners.size)
+        winners, parents = first_parent_wins(
+            frontier, neighbors, counts, self.visited
+        )
+        return winners, parents, 0, int(counts.sum()), int(winners.size)
 
     def _bottom_up(
         self, frontier: np.ndarray

@@ -50,6 +50,7 @@ from repro.obs.schema import (
     M_MUT_REPAIRS,
     M_MUT_VERSION,
 )
+from repro.perfmodel.cost import request_think_time_s
 
 __all__ = ["DeltaShard", "GraphMutator"]
 
@@ -414,7 +415,7 @@ class GraphMutator:
         if not g.semi_external:
             return {v: self.overlay.row(v) for v in vertices}
         req = np.array(vertices, dtype=np.int64)
-        think = g.think_time_s()
+        think = request_think_time_s(g.cost_model, g.store)
         per_shard = []
         for shard in g.external_shards:
             values, counts = shard.gather_rows(req, think_time_s=think)

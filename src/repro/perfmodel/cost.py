@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 
-__all__ = ["DramCostModel"]
+__all__ = ["DramCostModel", "request_think_time_s"]
 
 
 @dataclass(frozen=True)
@@ -142,3 +142,16 @@ class DramCostModel:
     def with_topology(self, n_nodes: int, cores_per_node: int) -> "DramCostModel":
         """Rescale the thread count to a different simulated machine."""
         return replace(self, threads=n_nodes * cores_per_node)
+
+
+def request_think_time_s(cost_model: DramCostModel | None, store) -> float:
+    """Think time per NVM request of a reader over ``store``.
+
+    The CPU a reader thread spends digesting one ``store.chunk_bytes``
+    request's edges (8 bytes each) before issuing the next read — the
+    closed-queueing-model input every NVM reader shares.  0 without a
+    cost model or without a store.
+    """
+    if cost_model is None or store is None:
+        return 0.0
+    return cost_model.per_request_think_time_s(store.chunk_bytes / 8.0)

@@ -78,6 +78,24 @@ class QuerySnapshot:
     parent: np.ndarray
     frontier_queue: np.ndarray
 
+    @classmethod
+    def at(cls, key: str, state, cursor) -> "QuerySnapshot":
+        """Snapshot a traversal at a level boundary from its
+        :class:`~repro.bfs.state.BFSState` and
+        :class:`~repro.bfs.loop.LevelCursor`
+        (:meth:`LevelCursor.restore <repro.bfs.loop.LevelCursor.restore>`
+        is the inverse)."""
+        return cls(
+            key=key,
+            root=int(state.root),
+            level=int(cursor.level),
+            direction=cursor.direction.value,
+            prev_frontier=int(cursor.prev_frontier),
+            visited_deg_sum=int(cursor.visited_deg_sum),
+            parent=state.parent,
+            frontier_queue=state.frontier_queue,
+        )
+
 
 @dataclass
 class RestoredQuery:

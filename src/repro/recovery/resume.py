@@ -7,10 +7,11 @@
 level-boundary checkpointer and the seeded process-crash injection of
 the store's :class:`~repro.semiext.faults.FaultPlan`.  The recovered
 tree is **bit-identical** to an uninterrupted run: the engines are
-deterministic and their level loops carry exactly the state a checkpoint
-records (parent/visited/frontier plus the schedule cursor — the α/β
-policy itself is stateless between levels), so re-entering at the saved
-level replays the remaining levels exactly.
+deterministic and their one level loop carries exactly the state a
+checkpoint records (parent/visited/frontier plus the
+:class:`~repro.bfs.loop.LevelCursor` — the α/β policy itself is
+stateless between levels), so re-entering at the saved level replays the
+remaining levels exactly.
 
 The wrapper resumes on the *same* store (an in-process model of a
 process restart against the surviving NVM contents).  The simulated
@@ -21,7 +22,8 @@ the restore read.
 
 from __future__ import annotations
 
-from repro.bfs.metrics import BFSResult, Direction
+from repro.bfs.loop import LevelCursor
+from repro.bfs.metrics import BFSResult
 from repro.bfs.state import BFSState
 from repro.errors import ConfigurationError, ProcessCrashError, StorageError
 from repro.obs.schema import M_REC_CRASHES, M_REC_RESTORES, M_REC_TORN_EPOCHS
@@ -42,10 +44,11 @@ class RecoverableBFS:
     Parameters
     ----------
     engine:
-        The engine to run.  Engines exposing ``topology`` (the
-        :class:`~repro.bfs.hybrid.HybridBFS` family) resume through
-        :meth:`~repro.bfs.state.BFSState.restore`; the fully-external
-        engine resumes its (parent, frontier) cursor directly.
+        The engine to run: any configuration of the
+        :class:`~repro.bfs.hybrid.HybridBFS` level loop.  Resume rebuilds
+        its :class:`~repro.bfs.state.BFSState` and
+        :class:`~repro.bfs.loop.LevelCursor` from the newest valid epoch
+        and re-enters :meth:`~repro.bfs.hybrid.HybridBFS.resume`.
     store:
         Store holding the checkpoints (and whose fault plan supplies the
         crash injection); defaults to ``engine.store``.
@@ -80,20 +83,11 @@ class RecoverableBFS:
 
     # -- the level-boundary hook ----------------------------------------------
 
-    def _checkpointer(self, state, level, direction, prev_frontier,
-                      visited_deg_sum) -> None:
+    def _checkpointer(self, state, cursor: LevelCursor) -> None:
         mgr = self.manager
+        level = cursor.level
         if state.frontier_size > 0 and level % mgr.every == 0:
-            mgr.save([QuerySnapshot(
-                key="",
-                root=int(state.root),
-                level=int(level),
-                direction=direction.value,
-                prev_frontier=int(prev_frontier),
-                visited_deg_sum=int(visited_deg_sum),
-                parent=state.parent,
-                frontier_queue=state.frontier_queue,
-            )])
+            mgr.save([QuerySnapshot.at("", state, cursor)])
         injector = self.store.injector
         now = self.store.clock.now()
         if injector is not None and injector.crash_due(now, level - 1):
@@ -148,28 +142,16 @@ class RecoverableBFS:
             self.manager.adopt(restored)
             query = restored.queries[0]
         engine = self.engine
-        if hasattr(engine, "topology"):
-            state = BFSState.restore(
-                engine.n_vertices,
-                engine.topology,
-                query.root,
-                query.parent,
-                query.frontier_queue,
-            )
-            return engine.resume(
-                state,
-                level=query.level,
-                direction=Direction(query.direction),
-                prev_frontier=query.prev_frontier,
-                visited_deg_sum=query.visited_deg_sum,
-                max_levels=max_levels,
-                checkpointer=self._checkpointer,
-            )
-        return engine.resume(
+        state = BFSState.restore(
+            engine.n_vertices,
+            engine.topology,
+            query.root,
             query.parent,
             query.frontier_queue,
-            root=query.root,
-            level=query.level,
+        )
+        return engine.resume(
+            state,
+            LevelCursor.restore(query),
             max_levels=max_levels,
             checkpointer=self._checkpointer,
         )

@@ -106,13 +106,6 @@ class PinnedGraph:
         """A fresh per-query direction policy with this graph's α/β."""
         return AlphaBetaPolicy(alpha=self.alpha, beta=self.beta)
 
-    def think_time_s(self) -> float:
-        """Per-NVM-request CPU overlap for the device queueing model."""
-        if self.store is None or self.cost_model is None:
-            return 0.0
-        edges_per_request = self.store.chunk_bytes / 8.0
-        return self.cost_model.per_request_think_time_s(edges_per_request)
-
     def device_health(self) -> float:
         """Health score of the backing device (1.0 when there is none)."""
         if self.store is None:

@@ -34,22 +34,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bfs.bottomup import bottom_up_step
+from repro.bfs.loop import LevelCursor, record_level
 from repro.bfs.metrics import BFSResult, Direction, LevelTrace
-from repro.bfs.policies import PolicyInputs
 from repro.bfs.state import BFSState
-from repro.bfs.topdown import gather_adjacency
+from repro.bfs.topdown import commit_winners, first_parent_wins, gather_adjacency
 from repro.csr.io import ExternalCSR
 from repro.errors import ConfigurationError, DeviceFailedError
 from repro.obs.schema import (
-    M_BFS_DISCOVERED,
-    M_BFS_EDGES,
-    M_BFS_LEVELS,
     M_BFS_RUNS,
     M_BFS_TRAVERSED,
     M_SERVE_ROWS_FETCHED,
     M_SERVE_ROWS_REQUESTED,
 )
 from repro.obs.session import Observability
+from repro.perfmodel.cost import request_think_time_s
 from repro.serve.catalog import PinnedGraph
 from repro.util.gather import concat_ranges, sorted_unique
 from repro.util.timer import Timer
@@ -60,43 +58,36 @@ __all__ = ["BatchedBFS"]
 class _Query:
     """Per-query traversal state inside one batch (private)."""
 
-    def __init__(self, graph: PinnedGraph, root: int) -> None:
-        self.root = int(root)
-        self.state = BFSState(graph.n_vertices, graph.topology, root)
+    def __init__(self, graph: PinnedGraph, state: BFSState,
+                 cursor: LevelCursor) -> None:
+        self.state = state
+        self.cursor = cursor
         self.policy = graph.make_policy()
         self.policy.reset()
-        self.direction = Direction.TOP_DOWN
-        self.prev_frontier = 0
-        self.visited_deg_sum = int(graph.degrees[root])
-        self.level = 0
         self.traces: list[LevelTrace] = []
 
     @classmethod
-    def restore(cls, graph: PinnedGraph, snap) -> "_Query":
-        """Rebuild mid-traversal state from a restored checkpoint query.
+    def start(cls, graph: PinnedGraph, root: int) -> "_Query":
+        """A fresh query from ``root``."""
+        state = BFSState(graph.n_vertices, graph.topology, root)
+        return cls(graph, state, LevelCursor.start(graph.degrees, root))
 
-        ``snap`` is a :class:`~repro.recovery.checkpoint.RestoredQuery`
-        (duck-typed to avoid the import).  The α/β policy is stateless
-        between levels, so a fresh, reset policy plus the restored cursor
-        fields replays the remaining levels bit-identically.
-        """
-        q = cls.__new__(cls)
-        q.root = int(snap.root)
-        q.state = BFSState.restore(
+    @classmethod
+    def restore(cls, graph: PinnedGraph, snap) -> "_Query":
+        """Rebuild mid-traversal state from a restored checkpoint query
+        (a :class:`~repro.recovery.checkpoint.RestoredQuery`)."""
+        state = BFSState.restore(
             graph.n_vertices,
             graph.topology,
             snap.root,
             snap.parent,
             snap.frontier_queue,
         )
-        q.policy = graph.make_policy()
-        q.policy.reset()
-        q.direction = Direction(snap.direction)
-        q.prev_frontier = int(snap.prev_frontier)
-        q.visited_deg_sum = int(snap.visited_deg_sum)
-        q.level = int(snap.level)
-        q.traces = []
-        return q
+        return cls(graph, state, LevelCursor.restore(snap))
+
+    @property
+    def root(self) -> int:
+        return self.state.root
 
     @property
     def active(self) -> bool:
@@ -148,9 +139,9 @@ class BatchedBFS:
         ``checkpointer`` is the batch analogue of the single-engine
         level-boundary hook: called as ``checkpointer(queries, rounds)``
         after every completed round with *all* per-query states (each
-        exposing ``root``/``level``/``direction``/``prev_frontier``/
-        ``visited_deg_sum``/``state``), so the serve tier can persist an
-        epoch and inject crashes.
+        exposing ``root``, ``active``, ``state`` and its
+        :class:`~repro.bfs.loop.LevelCursor` as ``cursor``), so the serve
+        tier can persist an epoch and inject crashes.
 
         ``trace_ids`` maps each root to its admission-assigned trace id;
         the shared ``serve.traversal`` span records the whole set (one
@@ -161,7 +152,7 @@ class BatchedBFS:
             raise ConfigurationError("batch roots must be unique")
         if not roots:
             return []
-        queries = [_Query(self.graph, r) for r in roots]
+        queries = [_Query.start(self.graph, r) for r in roots]
         for _ in queries:
             self.obs.counter(M_BFS_RUNS, engine="BatchedBFS").inc()
         return self._execute(
@@ -186,7 +177,7 @@ class BatchedBFS:
         if not restored:
             return []
         queries = [_Query.restore(self.graph, snap) for snap in restored]
-        rounds = max(q.level for q in queries)
+        rounds = max(q.cursor.level for q in queries)
         return self._execute(queries, rounds, max_levels, checkpointer)
 
     def _execute(
@@ -248,26 +239,17 @@ class BatchedBFS:
         graph = self.graph
         clock = graph.clock
         t0 = clock.now()
+        total_degree = int(graph.degrees.sum())
+        directions: dict[int, Direction] = {}
         for q in active:
-            frontier_edges = int(graph.degrees[q.state.frontier_queue].sum())
-            decided = q.policy.decide(PolicyInputs(
-                level=q.level,
-                current=q.direction,
-                n_frontier=q.state.frontier_size,
-                n_frontier_prev=q.prev_frontier,
-                n_all=graph.n_vertices,
-                frontier_edges=frontier_edges,
-                unvisited_edges=(
-                    int(graph.degrees.sum()) - q.visited_deg_sum
-                ),
-                device_health=graph.device_health(),
+            decided = q.policy.decide(q.cursor.policy_inputs(
+                q.state, graph.degrees, total_degree, graph.device_health()
             ))
-            q.direction = (
+            directions[id(q)] = (
                 Direction.BOTTOM_UP if self.degraded_mode else decided
             )
-        td = [q for q in active if q.direction is Direction.TOP_DOWN]
-        bu = [q for q in active if q.direction is Direction.BOTTOM_UP]
-        td_scans: dict[int, tuple[int, int]] = {}
+        td = [q for q in active if directions[id(q)] is Direction.TOP_DOWN]
+        outcomes: dict[int, tuple] = {}
         if td:
             try:
                 td_scans = self._top_down_shared(td)
@@ -279,46 +261,32 @@ class BatchedBFS:
                 if graph.store is not None:
                     graph.store.resilience.degraded_levels += 1
                 for q in td:
-                    q.direction = Direction.BOTTOM_UP
-                bu = bu + td
-                td = []
-        for q in bu:
-            self._bottom_up_one(q)
+                    directions[id(q)] = Direction.BOTTOM_UP
+            else:
+                for q in td:
+                    outcomes[id(q)] = self._commit_td(q, td_scans[id(q)])
+        for q in active:
+            if directions[id(q)] is Direction.BOTTOM_UP:
+                # One query's bottom-up level on the in-DRAM backward graph.
+                outcomes[id(q)] = bottom_up_step(graph.scanners, q.state)
         # Per-query promotion, DRAM charges and traces (shared round time).
         obs = self.obs
         for q in active:
-            if q.direction is Direction.TOP_DOWN:
-                next_queue, scanned_dram, scanned_nvm = self._commit_td(
-                    q, td_scans
-                )
-            else:
-                next_queue, scanned_dram, scanned_nvm = q._bu_outcome
-                del q._bu_outcome
+            direction = directions[id(q)]
+            next_queue, scanned_dram, scanned_nvm = outcomes[id(q)]
             frontier_size = q.state.frontier_size
             if graph.cost_model is not None:
                 # NVM-fetched probes already entered the queueing model as
-                # think time; charge only DRAM-resident work (the same
-                # split SemiExternalBFS._charge_level makes).
+                # think time; charge only DRAM-resident work (the level
+                # loop's charging rule).
                 clock.advance(graph.cost_model.level_time_s(
                     edges_scanned=scanned_dram,
                     frontier_size=frontier_size,
                     next_size=int(next_queue.size),
                 ))
-            dirname = q.direction.value
-            obs.counter(M_BFS_LEVELS, direction=dirname).inc()
-            obs.counter(M_BFS_EDGES, direction=dirname, medium="dram").inc(
-                scanned_dram
-            )
-            if scanned_nvm:
-                obs.counter(M_BFS_EDGES, direction=dirname, medium="nvm").inc(
-                    scanned_nvm
-                )
-            obs.counter(M_BFS_DISCOVERED, direction=dirname).inc(
-                int(next_queue.size)
-            )
-            q.traces.append(LevelTrace(
-                level=q.level,
-                direction=q.direction,
+            trace = LevelTrace(
+                level=q.cursor.level,
+                direction=direction,
                 frontier_size=frontier_size,
                 next_size=int(next_queue.size),
                 edges_scanned=scanned_dram + scanned_nvm,
@@ -326,11 +294,13 @@ class BatchedBFS:
                 modeled_time_s=clock.now() - t0,
                 edges_scanned_nvm=scanned_nvm,
                 degraded=self.degraded_mode,
-            ))
-            q.visited_deg_sum += int(graph.degrees[next_queue].sum())
-            q.prev_frontier = frontier_size
+            )
+            q.traces.append(trace)
+            record_level(obs, trace)
+            q.cursor.advance(
+                direction, frontier_size, graph.degrees[next_queue].sum()
+            )
             q.state.promote_next(next_queue)
-            q.level += 1
 
     # -- shared top-down -------------------------------------------------------
 
@@ -344,7 +314,7 @@ class BatchedBFS:
         """
         graph = self.graph
         obs = self.obs
-        think = graph.think_time_s()
+        think = request_think_time_s(graph.cost_model, graph.store)
         frontiers = [q.state.frontier_queue for q in td]
         if len(td) == 1:
             union = frontiers[0]
@@ -377,52 +347,21 @@ class BatchedBFS:
                     mine_neighbors = neighbors[
                         concat_ranges(seg_starts[idx], mine_counts)
                     ]
-                scans[id(q)].append(self._scan_candidates(
-                    q, frontier, mine_neighbors, mine_counts
-                ))
+                winners, parents = first_parent_wins(
+                    frontier, mine_neighbors, mine_counts, q.state.visited
+                )
+                scans[id(q)].append(
+                    (winners, parents, int(mine_counts.sum()))
+                )
         return scans
 
-    @staticmethod
-    def _scan_candidates(q: _Query, frontier, neighbors, counts):
-        """The unbatched first-parent-wins reduction, per query per shard."""
-        scanned = int(counts.sum()) if counts.size else 0
-        empty = np.empty(0, dtype=np.int64)
-        if neighbors.size == 0:
-            return empty, empty, scanned
-        parents = np.repeat(frontier, counts)
-        unvisited = ~q.state.visited.test_many(neighbors)
-        if not unvisited.any():
-            return empty, empty, scanned
-        cand_w = neighbors[unvisited]
-        cand_v = parents[unvisited]
-        winners, first_idx = np.unique(cand_w, return_index=True)
-        return winners, cand_v[first_idx].copy(), scanned
-
-    def _commit_td(self, q: _Query, td_scans: dict):
+    def _commit_td(self, q: _Query, scans: list) -> tuple:
         """Install one query's per-shard discoveries (shard order)."""
-        next_parts: list[np.ndarray] = []
-        scanned_nvm = 0
-        scanned_dram = 0
-        for winners, parents, scanned in td_scans[id(q)]:
-            if self.graph.semi_external:
-                scanned_nvm += scanned
-            else:
-                scanned_dram += scanned
-            if winners.size:
-                q.state.discover(winners, parents)
-                next_parts.append(winners)
-        if next_parts:
-            next_queue = np.concatenate(next_parts)
-            next_queue.sort()
-        else:
-            next_queue = np.empty(0, dtype=np.int64)
-        return next_queue, scanned_dram, scanned_nvm
-
-    # -- per-query bottom-up ---------------------------------------------------
-
-    def _bottom_up_one(self, q: _Query) -> None:
-        """One query's bottom-up level on the in-DRAM backward graph."""
-        q._bu_outcome = bottom_up_step(self.graph.scanners, q.state)
+        next_queue = commit_winners(q.state, ((w, p) for w, p, _ in scans))
+        scanned = sum(n for _, _, n in scans)
+        if self.graph.semi_external:
+            return next_queue, 0, scanned
+        return next_queue, scanned, 0
 
     def __repr__(self) -> str:
         return f"BatchedBFS({self.graph.name!r})"

@@ -605,16 +605,8 @@ class BFSServer:
 
         def hook(queries, rounds: int) -> None:
             if rounds % mgr.every == 0 and any(q.active for q in queries):
-                mgr.save([QuerySnapshot(
-                    key=name,
-                    root=q.root,
-                    level=q.level,
-                    direction=q.direction.value,
-                    prev_frontier=q.prev_frontier,
-                    visited_deg_sum=q.visited_deg_sum,
-                    parent=q.state.parent,
-                    frontier_queue=q.state.frontier_queue,
-                ) for q in queries])
+                mgr.save([QuerySnapshot.at(name, q.state, q.cursor)
+                          for q in queries])
             injector = store.injector if store is not None else None
             now = clock.now()
             if injector is not None and injector.crash_due(now, rounds - 1):

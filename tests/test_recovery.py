@@ -10,15 +10,20 @@ durability writes, and the stale-read guards around recovery.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bfs import (
     AlphaBetaPolicy,
+    Direction,
     FullyExternalBFS,
     HybridBFS,
     SemiExternalBFS,
 )
+from repro.bfs.loop import LevelCursor
+from repro.bfs.state import BFSState
 from repro.errors import (
     ConfigurationError,
     ProcessCrashError,
@@ -147,6 +152,20 @@ class TestCheckpointFormat:
         mgr.adopt(restored)
         assert not mgr.epoch_path(1).exists()
         assert mgr.next_epoch == 1
+
+    def test_level_cursor_round_trips(self, store, topology):
+        mgr = CheckpointManager(store, run_id="t", every=1)
+        state = BFSState(16, topology, root=3)
+        state.discover(np.array([5, 9], dtype=np.int64),
+                       np.array([3, 3], dtype=np.int64))
+        state.promote_next(np.array([5, 9], dtype=np.int64))
+        cursor = LevelCursor(level=1, direction=Direction.BOTTOM_UP,
+                             prev_frontier=1, visited_deg_sum=1234567)
+        mgr.save([QuerySnapshot.at("", state, cursor)])
+        [q] = load_run(mgr.dir).queries
+        assert LevelCursor.restore(q) == cursor
+        assert np.array_equal(q.parent, state.parent)
+        assert np.array_equal(q.frontier_queue, state.frontier_queue)
 
     def test_cadence_and_run_id_validation(self, store):
         with pytest.raises(ConfigurationError, match="cadence"):
@@ -298,6 +317,67 @@ class TestCrashResumeBitIdentity:
         # the resume must not crash at the same level again.
         assert not store.injector.crash_armed
         rec.resume()
+
+
+ONE_LOOP_ENGINES = ("hybrid", "semi_external", "fully_external")
+
+
+def _one_loop_engine(kind, store, forward, backward, csr):
+    """A configuration of the one level loop; checkpoints go to ``store``."""
+    if kind == "hybrid":
+        return HybridBFS(forward, backward, AlphaBetaPolicy(50, 500))
+    if kind == "semi_external":
+        return _semi_external(store, forward, backward)
+    return FullyExternalBFS.offload(csr, store)
+
+
+def _sans_clock(trace):
+    # wall_time_s is real time.  modeled_time_s is a difference of two
+    # float readings of a clock that, after the crash, also carries the
+    # checkpoint writes and the restore read, so it can differ from the
+    # uninterrupted run's in the last bits; it is compared apart, to a
+    # relative 1e-9.
+    return dataclasses.replace(trace, wall_time_s=0.0, modeled_time_s=0.0)
+
+
+class TestResumeThroughTheOneLoop:
+    """Every configuration of the level loop resumes through the one
+    ``RecoverableBFS.resume`` path, whichever level boundary it died at."""
+
+    @pytest.mark.parametrize("kind", ONE_LOOP_ENGINES)
+    def test_crash_after_every_level_boundary(
+        self, tmp_path, forward, backward, csr, a_root, kind
+    ):
+        clean_store = NVMStore(tmp_path / "clean", PCIE_FLASH)
+        clean = _one_loop_engine(
+            kind, clean_store, forward, backward, csr
+        ).run(a_root)
+        assert clean.n_levels >= 3
+        for level in range(clean.n_levels):
+            plan = FaultPlan(seed=5, crash_at_level=level)
+            store = NVMStore(tmp_path / f"crash{level}", PCIE_FLASH,
+                             fault_plan=plan)
+            rec = RecoverableBFS(
+                _one_loop_engine(kind, store, forward, backward, csr),
+                store=store,
+                checkpoint_every=1,
+            )
+            with pytest.raises(ProcessCrashError):
+                rec.run(a_root)
+            resumed = rec.resume()
+            assert resumed.parent.tobytes() == clean.parent.tobytes()
+            # The newest epoch is the boundary after the crashed level,
+            # except after the last level: its frontier is empty, so no
+            # epoch is written and the resume re-runs that level.
+            saved = min(level + 1, clean.n_levels - 1)
+            suffix = clean.traces[saved:]
+            assert resumed.n_levels == len(suffix)
+            assert [_sans_clock(t) for t in resumed.traces] == [
+                _sans_clock(t) for t in suffix
+            ]
+            assert [t.modeled_time_s for t in resumed.traces] == (
+                pytest.approx([t.modeled_time_s for t in suffix], rel=1e-9)
+            )
 
 
 class TestReopenTruncation:
