@@ -113,8 +113,8 @@ def test_serve_batching_amortization(benchmark, figure_report, tmp_path):
             ), (b, root)
     for root in reference["roots"]:
         assert validate_bfs_tree(
-            reference["edges"], root, reference["trees"][root]
-        )
+            reference["edges"], reference["trees"][root], root
+        ).ok
 
 
 def test_partitioned_serving_per_worker_count(benchmark, figure_report,

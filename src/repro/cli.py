@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from pathlib import Path
 
 from repro._version import __version__
 
@@ -416,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s)",
     )
     conformance.add_argument(
-        "--trials", type=int, default=3,
+        "--trials", type=int, default=None,
         help="randomized (graph, scenario, root) triples per seed "
-             "(default: %(default)s)",
+             "(default: 3, or 2 with --quick)",
     )
     conformance.add_argument(
-        "--scale", type=int, default=8,
+        "--scale", type=int, default=None,
         help="largest graph scale drawn (n <= 2^SCALE; "
-             "default: %(default)s)",
+             "default: 8, or 6 with --quick)",
     )
     conformance.add_argument(
         "--engines", type=str, nargs="+", default=None, metavar="NAME",
@@ -431,12 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conformance.add_argument(
         "--out", type=str, default="conformance", metavar="DIR",
-        help="directory for repro_*.json artifacts on failure "
-             "(default: %(default)s)",
+        help="directory for conformance_report.json and, on failure, "
+             "repro_*.json artifacts (default: %(default)s)",
     )
     conformance.add_argument(
         "--quick", action="store_true",
-        help="CI preset: 2 trials per seed, scale capped at 6",
+        help="CI preset: default to 2 trials per seed and scale 6 "
+             "(an explicit --trials/--scale wins)",
     )
     conformance.add_argument(
         "--replay", type=str, default=None, metavar="FILE",
@@ -564,8 +566,6 @@ def _cmd_run_partitioned(scenario, args: argparse.Namespace) -> int:
     semi-external engine, and verifies the trees byte-identical — the
     determinism contract docs/partitioning.md walks through.
     """
-    from pathlib import Path
-
     import numpy as np
 
     from repro.analysis.report import format_teps
@@ -693,7 +693,6 @@ def _cmd_run_recovery(scenario, args: argparse.Namespace) -> int:
     hold.
     """
     from dataclasses import replace
-    from pathlib import Path
 
     import numpy as np
 
@@ -958,8 +957,6 @@ def _cmd_locality(args: argparse.Namespace) -> int:
 
 
 def _cmd_offload(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis import backward_offload_sweep, tiered_offload_sweep
     from repro.analysis.report import ascii_table, format_teps
     from repro.csr import BackwardGraph, ForwardGraph, build_csr
@@ -1144,8 +1141,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.report import ascii_table
     from repro.errors import ConfigurationError
     from repro.obs import read_jsonl, self_time_table, write_collapsed
@@ -1189,8 +1184,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis.dashboard import render_dashboard
     from repro.errors import ConfigurationError
     from repro.obs import derive, evaluate, read_jsonl
@@ -1221,10 +1214,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.errors import ConfigurationError
-    from repro.perf import SCENARIOS, compare, get_scenario, load
+    from repro.perf import SCENARIOS, gate, get_scenario
 
     if args.list:
         for s in SCENARIOS:
@@ -1238,50 +1229,26 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out)
-    artifacts = []
+    artifacts = {}
     for scenario in scenarios:
         with tempfile.TemporaryDirectory(prefix="repro-perf-") as td:
             artifact = scenario.run(args.seed, Path(td))
-        path = artifact.write(outdir)
-        artifacts.append(artifact)
+        path = artifact.write(args.out)
+        artifacts[artifact.name] = artifact
         print(f"{scenario.name}: wrote {path} "
               f"({len(artifact.metrics)} metrics, "
               f"{artifact.simulated_seconds:.4f} simulated s)")
     if args.baseline is None:
         return 0
-    failures = 0
-    for artifact in artifacts:
-        baseline_path = Path(args.baseline) / f"BENCH_{artifact.name}.json"
-        try:
-            deltas = compare(load(baseline_path), artifact)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for d in deltas:
-            if d.is_regression:
-                failures += 1
-                print(f"{artifact.name}.{d.name}: REGRESSION "
-                      f"{d.baseline:g} -> {d.candidate} {d.unit} "
-                      f"({d.rel_change:+.2%}, tol {d.tolerance:.0%})")
-    if failures:
-        print(f"perf gate: FAIL ({failures} regressing metric(s))")
-        return 1
-    print("perf gate: PASS")
-    return 0
+    return gate(args.baseline, artifacts, subset=bool(args.scenario))
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
     from repro.conformance import ConformanceConfig, ReproArtifact, run_conformance
     from repro.errors import ConfigurationError
-    from repro.obs.session import NULL
+    from repro.obs.session import NULL, Observability
 
-    obs = None
-    if args.obs is not None:
-        from repro.obs import Observability
-
-        obs = Observability()
-
+    obs = Observability() if args.obs is not None else NULL
     if args.replay is not None:
         try:
             artifact = ReproArtifact.load(args.replay)
@@ -1291,40 +1258,36 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(f"replaying {args.replay}: engine={artifact.engine} "
               f"check={artifact.check} seed={artifact.seed} "
               f"n={artifact.n_vertices} m={len(artifact.edges_u)}")
-        if obs is not None:
-            span = obs.span("conformance.replay", engine=artifact.engine,
-                            check=artifact.check)
-        else:
-            from contextlib import nullcontext
-
-            span = nullcontext()
         try:
-            with span:
+            with obs.span("conformance.replay", engine=artifact.engine,
+                          check=artifact.check):
                 outcome = artifact.replay()
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(outcome)
-        if obs is not None:
+        if args.obs is not None:
             obs.export(args.obs)
         return 1 if outcome.reproduced else 0
 
-    trials = 2 if args.quick else args.trials
-    max_scale = min(args.scale, 6) if args.quick else args.scale
+    trials, max_scale = (2, 6) if args.quick else (3, 8)
     try:
         config = ConformanceConfig(
             seeds=tuple(args.seeds),
-            trials=trials,
-            max_scale=max_scale,
+            trials=trials if args.trials is None else args.trials,
+            max_scale=max_scale if args.scale is None else args.scale,
             engines=tuple(args.engines) if args.engines else (),
             artifact_dir=args.out,
         )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_conformance(config, obs=obs if obs is not None else NULL)
+    report = run_conformance(config, obs=obs)
     print(report.render())
-    if obs is not None:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "conformance_report.json").write_text(report.to_json())
+    if args.obs is not None:
         obs.export(args.obs)
     return 0 if report.ok else 1
 

@@ -26,8 +26,9 @@ on isolated vertices).
 
 from __future__ import annotations
 
+import json
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -162,6 +163,17 @@ class ConformanceReport:
             lines.append(f"{len(self.failures)} FAILURE(S):")
             lines += [f"  {f}" for f in self.failures]
         return "\n".join(lines)
+
+    def to_json(self) -> str:
+        """The machine-readable ``conformance_report.json`` summary."""
+        return json.dumps({
+            "engines": list(self.engines),
+            "seeds": list(self.seeds),
+            "trials": self.trials,
+            "checks": self.checks,
+            "ok": self.ok,
+            "failures": [asdict(f) for f in self.failures],
+        }, sort_keys=True, indent=1) + "\n"
 
 
 def _draw_case(rng: np.random.Generator, max_scale: int) -> GraphCase:

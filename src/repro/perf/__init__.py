@@ -3,9 +3,9 @@
 The performance-trajectory layer: :mod:`repro.perf.scenarios` registers
 seeded, headless benchmark scenarios; :mod:`repro.perf.artifact` defines
 the schema-versioned ``BENCH_<name>.json`` they emit and the
-tolerance-aware diff a perf gate needs.  ``tools/bench_runner.py`` and
-``tools/perf_gate.py`` are the command-line front ends; the committed
-baselines live in ``benchmarks/baselines/``.
+tolerance-aware diff and gate behind it.  ``repro-bfs perf`` is the
+command-line front end; the committed baselines live in
+``benchmarks/baselines/``.
 """
 
 from repro.perf.artifact import (
@@ -15,6 +15,7 @@ from repro.perf.artifact import (
     MetricDelta,
     artifact_path,
     compare,
+    gate,
     load,
 )
 from repro.perf.scenarios import (
@@ -31,6 +32,7 @@ __all__ = [
     "MetricDelta",
     "artifact_path",
     "compare",
+    "gate",
     "load",
     "SCENARIOS",
     "BenchScenario",

@@ -11,11 +11,13 @@ re-run writes a byte-identical file — which is what lets
 
 ``SCHEMA_VERSION`` gates forward compatibility: :func:`load` refuses an
 artifact written by a different schema instead of mis-reading it.
+:func:`gate` is the perf gate behind ``repro-bfs perf --baseline``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +31,7 @@ __all__ = [
     "artifact_path",
     "load",
     "compare",
+    "gate",
 ]
 
 #: Version stamped into (and required of) every artifact.
@@ -196,3 +199,64 @@ def compare(baseline: BenchArtifact,
         _delta(name, baseline.metrics[name], candidate.metrics.get(name))
         for name in sorted(baseline.metrics)
     ]
+
+
+def _delta_line(d: MetricDelta) -> str:
+    if d.status == "missing":
+        return (f"  {d.name:28s} MISSING from candidate "
+                f"(baseline {d.baseline:g} {d.unit})")
+    direction = "higher" if d.higher_is_better else "lower"
+    return (f"  {d.name:28s} {d.baseline:>14g} -> "
+            f"{d.candidate:>14g} {d.unit:4s} "
+            f"{d.rel_change:+8.2%} "
+            f"(tol {d.tolerance:.0%}, {direction} is better): "
+            f"{d.status.upper()}")
+
+
+def gate(baseline_dir: str | Path, candidates: dict,
+         subset: bool = False) -> int:
+    """Gate fresh ``candidates`` (name -> artifact) against baselines.
+
+    Prints every metric line of every ``BENCH_*.json`` in
+    ``baseline_dir`` and returns the exit code: ``1`` on a regression,
+    a missing metric, or a baseline no candidate answers; ``2`` when
+    the directory holds no readable baseline; ``0`` otherwise.  With
+    ``subset`` (only some scenarios were run) an unanswered baseline is
+    skipped instead of failing.  A candidate without a baseline is
+    reported but not gated.
+    """
+    paths = sorted(Path(baseline_dir).glob("BENCH_*.json"))
+    if not paths:
+        print(f"error: no BENCH_*.json baselines in {baseline_dir}",
+              file=sys.stderr)
+        return 2
+    try:
+        baselines = [load(path) for path in paths]
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failures = skipped = 0
+    for baseline in baselines:
+        candidate = candidates.get(baseline.name)
+        if candidate is None:
+            if subset:
+                print(f"{baseline.name}: skipped (not run)")
+                skipped += 1
+            else:
+                print(f"{baseline.name}: FAIL — candidate missing "
+                      f"(no registered scenario produced it)")
+                failures += 1
+            continue
+        print(f"{baseline.name}:")
+        for d in compare(baseline, candidate):
+            print(_delta_line(d))
+            failures += d.is_regression
+    for name in sorted(set(candidates) - {b.name for b in baselines}):
+        print(f"{name}: no baseline in {baseline_dir} (not gated)")
+    gated = len(baselines) - skipped
+    if failures:
+        print(f"\nperf gate: FAIL ({failures} regressing "
+              f"metric(s) across {gated} scenario(s))")
+        return 1
+    print(f"\nperf gate: PASS ({gated} scenario(s) within tolerance)")
+    return 0

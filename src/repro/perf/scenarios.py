@@ -4,9 +4,9 @@ Each :class:`BenchScenario` wraps one of the repo's benchmark shapes
 (``benchmarks/bench_*.py``) into a headless callable: fixed problem
 size, seeded inputs, simulated clock only — so a scenario run is a pure
 function of its seed and its :class:`~repro.perf.artifact.BenchArtifact`
-is byte-reproducible.  ``tools/bench_runner.py`` executes these and
-``tools/perf_gate.py`` diffs the artifacts against the committed
-baselines in ``benchmarks/baselines/``.
+is byte-reproducible.  ``repro-bfs perf`` executes these and, with
+``--baseline``, gates the artifacts against the committed baselines in
+``benchmarks/baselines/``.
 
 The two stock scenarios cover the paper's two performance claims:
 

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.conformance import (
     ConformanceConfig,
+    ConformanceReport,
     GraphCase,
     ReproArtifact,
     TrialSetup,
@@ -268,6 +269,25 @@ class TestCli:
         assert code == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    def test_quick_sets_defaults_explicit_flags_win(self, monkeypatch,
+                                                    tmp_path):
+        import repro.conformance
+
+        seen = []
+
+        def fake_run(config, obs):
+            seen.append(config)
+            return ConformanceReport(engines=(), seeds=config.seeds,
+                                     trials=0, checks=0, failures=())
+
+        monkeypatch.setattr(repro.conformance, "run_conformance", fake_run)
+        for flags in ([], ["--scale", "10"], ["--trials", "4"]):
+            assert main(["conformance", "--quick", "--seeds", "7", *flags,
+                         "--out", str(tmp_path)]) == 0
+        assert [(c.trials, c.max_scale) for c in seen] == [
+            (2, 6), (2, 10), (4, 6),
+        ]
+
     def test_bad_engine_usage_error(self, capsys, tmp_path):
         code = main(["conformance", "--engines", "nope",
                      "--out", str(tmp_path / "conf")])
@@ -308,18 +328,10 @@ class TestCli:
 
 
 class TestGate:
-    def test_gate_writes_report_and_passes(self, tmp_path, capsys,
-                                           monkeypatch):
-        import sys
-        sys.path.insert(0, "tools")
-        try:
-            import conformance_gate
-        finally:
-            sys.path.pop(0)
+    def test_gate_writes_report_and_passes(self, tmp_path, capsys):
         out = tmp_path / "conf"
-        code = conformance_gate.main(
-            ["--quick", "--seeds", "7", "--out", str(out)]
-        )
+        code = main(["conformance", "--quick", "--seeds", "7",
+                     "--out", str(out)])
         assert code == 0
         summary = json.loads((out / "conformance_report.json").read_text())
         assert summary["ok"] is True

@@ -62,7 +62,7 @@ class TestPartitionCountInvariance:
             assert result.parent.tobytes() == expected.parent.tobytes(), (
                 seed, n_parts
             )
-            assert validate_bfs_tree(edges, root, result.parent)
+            assert validate_bfs_tree(edges, result.parent, root).ok
 
     def test_degree_balanced_partitioner_same_tree(self, tmp_path):
         _, csr, root = _graph(seed=3)

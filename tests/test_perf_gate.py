@@ -1,16 +1,18 @@
 """Perf-harness tests: artifact schema round-trip, delta semantics,
-the gate's exit codes (a doctored regression must fail it), and
-freshness of the committed baselines."""
+the gate's exit codes (a doctored regression must fail it), the
+``repro-bfs perf --baseline`` rules, and freshness of the committed
+baselines."""
 
 from __future__ import annotations
 
 import json
-import sys
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.perf import (
     SCHEMA_VERSION,
@@ -18,16 +20,13 @@ from repro.perf import (
     BenchMetric,
     artifact_path,
     compare,
+    gate,
     get_scenario,
     load,
     scenario_names,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-
-import perf_gate  # noqa: E402
-
 BASELINE_DIR = ROOT / "benchmarks" / "baselines"
 
 
@@ -127,16 +126,12 @@ class TestCompare:
 
 
 class TestGateExitCodes:
-    """tools/perf_gate.py end to end, against real committed baselines."""
+    """The perf gate behind ``repro-bfs perf --baseline``."""
 
     def test_identical_candidate_passes(self, tmp_path, capsys):
         base = _artifact(teps=BenchMetric(100.0, "TEPS", True))
         base.write(tmp_path / "base")
-        base.write(tmp_path / "cand")
-        code = perf_gate.main([
-            "--baseline", str(tmp_path / "base"),
-            "--candidate", str(tmp_path / "cand"),
-        ])
+        code = gate(tmp_path / "base", {"toy": base})
         assert code == 0
         assert "perf gate: PASS" in capsys.readouterr().out
 
@@ -150,11 +145,7 @@ class TestGateExitCodes:
                                            else 1.2))
             for k, m in baseline.metrics.items()
         })
-        doctored.write(tmp_path / "cand")
-        code = perf_gate.main([
-            "--baseline", str(tmp_path / "base"),
-            "--candidate", str(tmp_path / "cand"),
-        ])
+        code = gate(tmp_path / "base", {doctored.name: doctored})
         assert code == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
@@ -164,22 +155,51 @@ class TestGateExitCodes:
         _artifact(teps=BenchMetric(1.0, "TEPS", True)).write(
             tmp_path / "base"
         )
-        (tmp_path / "cand").mkdir()
-        code = perf_gate.main([
-            "--baseline", str(tmp_path / "base"),
-            "--candidate", str(tmp_path / "cand"),
-        ])
+        code = gate(tmp_path / "base", {})
         assert code == 1
         assert "missing" in capsys.readouterr().out
 
     def test_empty_baseline_dir_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "base").mkdir()
-        code = perf_gate.main([
-            "--baseline", str(tmp_path / "base"),
-            "--candidate", str(tmp_path),
-        ])
+        code = gate(tmp_path / "base", {})
         assert code == 2
         assert "no BENCH_" in capsys.readouterr().err
+
+
+class TestPerfCommandGate:
+    """``repro-bfs perf --baseline`` across run/baseline mismatches."""
+
+    def test_orphan_baseline_fails_a_full_run(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        shutil.copytree(BASELINE_DIR, base)
+        _artifact(teps=BenchMetric(1.0, "TEPS", True)).write(base)
+        code = main(["perf", "--out", str(tmp_path / "out"),
+                     "--baseline", str(base)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "toy: FAIL — candidate missing" in out
+        assert "perf gate: FAIL" in out
+
+    def test_scenario_without_baseline_is_not_gated(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        base.mkdir()
+        shutil.copy(BASELINE_DIR / "BENCH_fig11_degradation.json", base)
+        code = main(["perf", "--scenario", "serve_batching",
+                     "--out", str(tmp_path / "out"), "--baseline", str(base)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "serve_batching: no baseline" in out
+        assert "perf gate: PASS" in out
+
+    def test_scenario_subset_skips_other_baselines(self, tmp_path, capsys):
+        code = main(["perf", "--scenario", "serve_batching",
+                     "--out", str(tmp_path / "out"),
+                     "--baseline", str(BASELINE_DIR)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fig11_degradation: skipped" in out
+        assert "serve_batching:\n" in out
+        assert "REGRESSION" not in out
 
 
 class TestCommittedBaselines:

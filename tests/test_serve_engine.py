@@ -52,7 +52,7 @@ class TestBatchedEqualsUnbatched:
         for i, root in enumerate(roots):
             expected = ref.run(root)
             assert np.array_equal(batched[i].parent, expected.parent), root
-            assert validate_bfs_tree(g.edges, root, batched[i].parent)
+            assert validate_bfs_tree(g.edges, batched[i].parent, root).ok
         cat.close()
 
     def test_trees_independent_of_batch_composition(self, tmp_path):
@@ -104,7 +104,7 @@ class TestBatchedEqualsUnbatched:
         assert roots, "scale-1 Kronecker graph lost its only edge"
         results = BatchedBFS(g).run_batch(roots)
         for res, root in zip(results, roots):
-            assert validate_bfs_tree(g.edges, root, res.parent)
+            assert validate_bfs_tree(g.edges, res.parent, root).ok
         cat.close()
 
 
@@ -153,7 +153,7 @@ class TestDegradation:
                     for r in BatchedBFS(ref_g).run_batch(roots)}
         for res in results:
             assert np.array_equal(res.parent, expected[res.root]), res.root
-            assert validate_bfs_tree(g.edges, res.root, res.parent)
+            assert validate_bfs_tree(g.edges, res.parent, res.root).ok
         cat.close()
         ref_cat.close()
 

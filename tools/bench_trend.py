@@ -2,9 +2,9 @@
 """Bench trend: render metric history across BENCH_*.json snapshots.
 
 Takes two or more artifact directories in chronological order (each the
-output of ``tools/bench_runner.py`` or ``repro-bfs perf``, e.g. the
-committed ``benchmarks/baselines`` followed by one directory per CI
-run) and prints, per scenario, every metric's value at each snapshot
+output of ``repro-bfs perf``, e.g. the committed
+``benchmarks/baselines`` followed by one directory per CI run) and
+prints, per scenario, every metric's value at each snapshot
 plus the relative change from the first snapshot to the last — with the
 change flagged when it moves past the *first* snapshot's declared noise
 tolerance in the metric's bad direction.  The perf gate answers "did
@@ -13,7 +13,7 @@ drifting".
 
 Usage::
 
-    python tools/bench_runner.py --all --out bench-out
+    repro-bfs perf --out bench-out
     python tools/bench_trend.py benchmarks/baselines bench-out
     python tools/bench_trend.py run1/ run2/ run3/ --scenario dist_scaling
 
