@@ -4,14 +4,16 @@ The paper estimates how much of the *backward* graph could follow the
 forward graph onto NVM: keep a per-vertex DRAM budget of *k* edges and
 measure (a) how many bytes leave DRAM and (b) what fraction of bottom-up
 edge probes then hit NVM.  Its quoted numbers mix two readings of the
-budget (see :mod:`repro.semiext.cache`), so the sweep evaluates both
-strategies and reports both curves:
+budget, so :func:`backward_offload_sweep` evaluates both — each as a
+per-row budget of one :class:`~repro.semiext.tiered.TieredScanner` — and
+reports both curves:
 
-* **prefix** (first k edges of each row in DRAM) reproduces the *access*
-  series — 38.2 % of probes on NVM at k=2 collapsing to 0.7 % at k=32;
-* **degree-threshold** (rows of degree ≤ k offloaded whole) reproduces
-  the *size* series — 2.6 % of bytes off DRAM at k=2 rising to 15.1 % at
-  k=32.
+* **prefix** (budget k: first k edges of each row in DRAM) reproduces the
+  *access* series — 38.2 % of probes on NVM at k=2 collapsing to 0.7 %
+  at k=32;
+* **degree-threshold** (budget ``np.where(deg <= k, 0, deg)``: rows of
+  degree ≤ k offloaded whole) reproduces the *size* series — 2.6 % of
+  bytes off DRAM at k=2 rising to 15.1 % at k=32.
 
 Unlike the paper (which only estimates from access traces), the sweep
 actually *runs* the partially offloaded BFS, so the numbers include the
@@ -36,13 +38,13 @@ import numpy as np
 from repro.bfs.metrics import Direction
 from repro.bfs.policies import AlphaBetaPolicy, DirectionPolicy
 from repro.bfs.semi_external import SemiExternalBFS
+from repro.csr.graph import CSRGraph
 from repro.csr.partition import BackwardGraph, ForwardGraph
 from repro.errors import ConfigurationError
 from repro.perfmodel.cost import DramCostModel
-from repro.semiext.cache import DegreeThresholdScanner, PrefixOffloadScanner
 from repro.semiext.device import DeviceModel
 from repro.semiext.storage import NVMStore
-from repro.semiext.tiered import TieredBackwardStore
+from repro.semiext.tiered import TieredBackwardStore, TieredScanner
 
 __all__ = [
     "OffloadPoint",
@@ -83,14 +85,12 @@ def backward_offload_sweep(
     """
     if not len(roots):
         raise ConfigurationError("need at least one root")
+    if any(k < 0 for k in ks):
+        raise ConfigurationError(f"k must be non-negative, got {ks}")
     workdir = Path(workdir)
     points: list[OffloadPoint] = []
     for strategy in strategies:
-        scanner_cls = {
-            "prefix": PrefixOffloadScanner,
-            "degree-threshold": DegreeThresholdScanner,
-        }.get(strategy)
-        if scanner_cls is None:
+        if strategy not in ("prefix", "degree-threshold"):
             raise ConfigurationError(f"unknown strategy {strategy!r}")
         for k in ks:
             store = NVMStore(
@@ -99,9 +99,15 @@ def backward_offload_sweep(
                 concurrency=forward.topology.n_cores,
             )
             scanners = [
-                scanner_cls(shard, k, store, f"bwd.{strategy}.k{k}.node{i}")
+                TieredScanner(
+                    shard,
+                    k if strategy == "prefix" else _whole_rows_above(shard, k),
+                    store,
+                    f"bwd.{strategy}.k{k}.node{i}",
+                )
                 for i, shard in enumerate(backward.shards)
             ]
+            tiered = TieredBackwardStore(scanners, k)
             engine = SemiExternalBFS.offload(
                 forward=forward,
                 backward=backward,
@@ -118,20 +124,24 @@ def backward_offload_sweep(
                         bu_dram += t.edges_scanned - t.edges_scanned_nvm
                         bu_nvm += t.edges_scanned_nvm
             total = bu_dram + bu_nvm
-            dram_bytes = sum(s.dram_nbytes for s in scanners)
-            nvm_bytes = sum(s.nvm_nbytes for s in scanners)
-            full = dram_bytes + nvm_bytes
             points.append(
                 OffloadPoint(
                     strategy=strategy,
                     k=k,
-                    dram_reduction=(nvm_bytes / full) if full else 0.0,
+                    dram_reduction=tiered.dram_reduction,
                     nvm_access_ratio=(bu_nvm / total) if total else 0.0,
-                    nvm_bytes=nvm_bytes,
-                    dram_bytes=dram_bytes,
+                    nvm_bytes=tiered.nvm_nbytes,
+                    dram_bytes=tiered.dram_nbytes,
                 )
             )
     return points
+
+
+def _whole_rows_above(shard: CSRGraph, k: int) -> np.ndarray:
+    """Degree-threshold budget: rows of degree ≤ k keep nothing in DRAM,
+    every other row keeps all of its edges."""
+    deg = shard.degrees()
+    return np.where(deg <= k, 0, deg)
 
 
 @dataclass(frozen=True)

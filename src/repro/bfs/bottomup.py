@@ -19,7 +19,7 @@ read vertices on NVM in a streaming fashion").
 Scanning happens shard-by-shard (the backward graph is row-partitioned per
 NUMA node) through the small :class:`BottomUpScanner` protocol, so the
 same step drives in-DRAM shards and the partially offloaded shards of
-:mod:`repro.semiext.cache`.
+:mod:`repro.semiext.tiered`.
 """
 
 from __future__ import annotations

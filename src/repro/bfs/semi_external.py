@@ -4,8 +4,9 @@
 forward graph's index/value files live on the NVM device and every
 top-down level reads them through ≤4 KB chunked requests, while the
 backward graph and all BFS status data stay in DRAM.  Optionally the
-backward graph is *partially* offloaded too (§VI-E), via the scanners in
-:mod:`repro.semiext.cache`.
+backward graph is *partially* offloaded too (§VI-E): pass the scanners of
+a :class:`~repro.semiext.tiered.TieredBackwardStore` as
+``backward_scanners``.
 
 Cost accounting (each scanned edge is paid exactly once):
 
@@ -95,29 +96,16 @@ class SemiExternalBFS(HybridBFS):
         backward_scanners: list[BottomUpScanner] | None = None,
         prefix: str = "forward",
         obs=None,
-        offload_k: int | None = None,
     ) -> "SemiExternalBFS":
         """Offload the forward shards to ``store`` and build the engine.
 
         This is pipeline Step 2's second half ("offload the constructed
         forward graph to NVM"); the in-DRAM forward shards can be dropped
-        by the caller afterwards.
-
-        ``offload_k`` additionally tiers the *backward* graph (§VI-E):
-        each shard keeps its first k edges per row in DRAM and serves the
-        tail from the same store through a
-        :class:`~repro.semiext.tiered.TieredBackwardStore` (mutually
-        exclusive with an explicit ``backward_scanners`` list).
+        by the caller afterwards.  ``backward_scanners`` replaces the
+        in-DRAM bottom-up scanners — e.g. the scanners of a
+        :class:`~repro.semiext.tiered.TieredBackwardStore` built on the
+        same store, which tiers the *backward* graph too (§VI-E).
         """
-        if offload_k is not None:
-            if backward_scanners is not None:
-                raise ConfigurationError(
-                    "pass either offload_k or backward_scanners, not both"
-                )
-            from repro.semiext.tiered import TieredBackwardStore
-
-            tiered = TieredBackwardStore.build(backward, offload_k, store, obs=obs)
-            backward_scanners = tiered.scanners
         external = [
             offload_csr(shard, store, f"{prefix}.node{k}")
             for k, shard in enumerate(forward.shards)

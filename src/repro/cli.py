@@ -1013,7 +1013,7 @@ def _cmd_offload(args: argparse.Namespace) -> int:
     ]
     print(ascii_table(
         ["strategy", "k", "DRAM reduction", "NVM access ratio"], rows,
-        title="Figure 14's two readings of k (repro.semiext.cache)",
+        title="Figure 14's two readings of k (TieredScanner budgets)",
     ))
     return 0
 

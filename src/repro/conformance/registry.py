@@ -51,6 +51,7 @@ from repro.recovery import (
 from repro.semiext.device import PCIE_FLASH, SATA_SSD, DeviceModel
 from repro.semiext.faults import FaultPlan
 from repro.semiext.storage import NVMStore
+from repro.semiext.tiered import TieredBackwardStore
 from repro.serve.catalog import PinnedGraph
 from repro.serve.engine import BatchedBFS
 
@@ -341,12 +342,14 @@ def _run_tiered(case: GraphCase, setup: TrialSetup, root: int,
     # (k >= max degree would leave the tails empty); tree equality vs
     # semi_external at *every* k is separately pinned by the hypothesis
     # property in tests/test_offload_store.py.
+    store = _fresh_store(case, setup, workdir)
+    tiered = TieredBackwardStore.build(case.backward, 2, store)
     engine = SemiExternalBFS.offload(
         forward=case.forward,
         backward=case.backward,
         policy=AlphaBetaPolicy(alpha=setup.alpha, beta=setup.beta),
-        store=_fresh_store(case, setup, workdir),
-        offload_k=2,
+        store=store,
+        backward_scanners=tiered.scanners,
     )
     return engine.run(root)
 

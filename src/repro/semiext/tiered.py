@@ -1,28 +1,32 @@
-"""Tiered backward store: first k edges per vertex in DRAM, tail on NVM.
+"""Tiered backward store: a per-row DRAM budget of edges, tail on NVM.
 
-This is the *measured* engine behind the paper's §VI-E estimate (Fig. 14):
-"limit the number of edges for a vertex to store on DRAM" to k, and serve
-everything past the budget from the device.  Where
-:class:`repro.semiext.cache.PrefixOffloadScanner` reproduced the estimate,
-:class:`TieredBackwardStore` turns it into a first-class engine tier:
+This is the one implementation of the paper's §VI-E idea (Fig. 14):
+"limit the number of edges for a vertex to store on DRAM" and serve
+everything past the budget from the device.
 
-* every backward NUMA shard is split into a DRAM-resident **truncated
-  CSR** (the first k adjacency entries of each row, original order
-  preserved) and an NVM-resident **tail** written through
-  :func:`repro.csr.io.offload_csr`;
+* every backward NUMA shard is split by :func:`split_prefix` into a
+  DRAM-resident **truncated CSR** (the first ``k[i]`` adjacency entries
+  of row ``i``, original order preserved) and an NVM-resident **tail**
+  written through :func:`repro.csr.io.offload_csr`;
 * the bottom-up scan falls through DRAM→NVM *per vertex*: a row whose
   truncated prefix already yields a frontier parent never touches the
-  device (early exit), and a row of degree ≤ k — complete in DRAM by
+  device (early exit), and a row with no tail — complete in DRAM by
   construction — is never even considered for fallthrough;
 * every tail fetch is charged to the simulated clock and iostats like any
   other NVM read, and the whole tier is observable through the
   ``offload.*`` metrics and spans of :mod:`repro.obs.schema`.
 
-Because :func:`~repro.semiext.cache.split_prefix` preserves row and
-within-row order, prefix-then-tail scanning visits exactly the original
-adjacency order — so the BFS tree is bit-identical to the untiered
-``semi_external`` engine at **every** k (the ``tiered`` conformance engine
-and ``tests/test_offload_store.py`` pin this).
+The budget ``k`` is a scalar (the engine tier, and the paper's *prefix*
+reading of Fig. 14) or one entry per row.  The paper's second,
+*degree-threshold* reading — rows of degree ≤ k offloaded whole — is the
+per-row budget ``np.where(deg <= k, 0, deg)``; see
+:func:`repro.analysis.offload_ratio.backward_offload_sweep`.
+
+Because :func:`split_prefix` preserves row and within-row order,
+prefix-then-tail scanning visits exactly the original adjacency order —
+so the BFS tree is bit-identical to the untiered ``semi_external`` engine
+at **every** budget (the ``tiered`` conformance engine and
+``tests/test_offload_store.py`` pin this).
 
 See ``docs/offload.md`` for the walkthrough and the measured
 memory-vs-TEPS frontier.
@@ -45,11 +49,35 @@ from repro.obs.schema import (
     M_OFFLOAD_ROWS,
 )
 from repro.obs.session import NULL, Observability
-from repro.semiext.cache import split_prefix
 from repro.semiext.storage import NVMStore
-from repro.util.gather import first_hit_rows
+from repro.util.gather import concat_ranges, first_hit_rows
 
-__all__ = ["TieredScanner", "TieredBackwardStore", "truncated_nbytes"]
+__all__ = ["TieredScanner", "TieredBackwardStore", "split_prefix", "truncated_nbytes"]
+
+
+def _sub_csr(shard: CSRGraph, offsets: np.ndarray, counts: np.ndarray) -> CSRGraph:
+    """The CSR holding ``counts[i]`` entries of row ``i`` from ``offsets[i]``."""
+    indptr = np.zeros(shard.n_rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    adj = shard.adj[concat_ranges(offsets, counts)]
+    return CSRGraph(indptr=indptr, adj=np.ascontiguousarray(adj), n_cols=shard.n_cols)
+
+
+def split_prefix(shard: CSRGraph, k: int | np.ndarray) -> tuple[CSRGraph, CSRGraph]:
+    """Split a CSR into (first-k-edges-per-row, remainder) CSRs.
+
+    ``k`` is one budget for every row or an array of one budget per row.
+    Row order and within-row order are preserved, so scanning the prefix
+    then the suffix visits exactly the original scan order.
+    """
+    if np.any(np.asarray(k) < 0):
+        raise ConfigurationError(f"k must be non-negative, got {np.min(k)}")
+    deg = shard.degrees()
+    starts = shard.indptr[:-1]
+    pre_counts = np.minimum(deg, k)
+    prefix = _sub_csr(shard, starts, pre_counts)
+    suffix = _sub_csr(shard, starts + pre_counts, deg - pre_counts)
+    return prefix, suffix
 
 
 def truncated_nbytes(degrees: np.ndarray, k: int, itemsize: int = 8) -> int:
@@ -57,8 +85,8 @@ def truncated_nbytes(degrees: np.ndarray, k: int, itemsize: int = 8) -> int:
 
     Counts ``min(degree, k)`` value entries per row plus the row-pointer
     array — the exact footprint of the prefix produced by
-    :func:`~repro.semiext.cache.split_prefix`, computable without building
-    it.  This is what :class:`~repro.bfs.policies.TieredKPolicy` feeds to
+    :func:`split_prefix`, computable without building it.  This is what
+    :class:`~repro.bfs.policies.TieredKPolicy` feeds to
     :class:`~repro.semiext.hierarchy.MemoryHierarchy` placement proofs.
     """
     if k < 0:
@@ -77,31 +105,31 @@ class TieredScanner:
         rows this scanner was asked to scan (the fallthrough denominator);
     ``fallthrough_rows``
         rows whose DRAM prefix held no frontier parent *and* whose degree
-        exceeds k, so the scan continued into the NVM tail;
+        exceeds their budget, so the scan continued into the NVM tail;
     ``scanned_dram`` / ``scanned_nvm``
         exact edge probes by tier (early termination included).
 
-    Rows of degree ≤ k are complete in DRAM, so a prefix miss on them is
-    final — they are excluded from fallthrough, which keeps the counters
-    hand-computable and the device untouched by rows it cannot help.
+    Rows of degree ≤ their budget are complete in DRAM, so a prefix miss
+    on them is final — they are excluded from fallthrough, which keeps the
+    counters hand-computable and the device untouched by rows it cannot
+    help.  ``k`` is the budget: a scalar, or one entry per row.
     """
 
     def __init__(
         self,
         shard: CSRGraph,
-        k: int,
+        k: int | np.ndarray,
         store: NVMStore,
         name: str,
         node: int = 0,
         obs: Observability | None = None,
     ) -> None:
-        self.k = int(k)
         self.node = int(node)
         self.obs = obs if obs is not None else NULL
         prefix, tail = split_prefix(shard, k)
         self.prefix = prefix
+        self._has_tail = tail.degrees() > 0
         self.tail: ExternalCSR = offload_csr(tail, store, name)
-        self._has_tail = shard.degrees() > self.k
         self._full_nbytes = shard.nbytes
         self.rows_scanned = 0
         self.fallthrough_rows = 0
@@ -144,7 +172,7 @@ class TieredScanner:
             obs.counter(M_OFFLOAD_EDGES, tier="dram").inc(scanned_dram)
 
         # Phase 2: only rows that both missed in DRAM *and* have a tail
-        # (degree > k) fall through to the device.
+        # (degree > budget) fall through to the device.
         fall = np.flatnonzero((parents < 0) & self._has_tail[rows])
         scanned_nvm = 0
         if fall.size:
@@ -176,11 +204,13 @@ class TieredBackwardStore:
     """All NUMA shards of the backward graph, tiered at a per-row budget k.
 
     Build one with :meth:`build` and hand its :attr:`scanners` to
-    :meth:`repro.bfs.semi_external.SemiExternalBFS.offload` (or pass
-    ``offload_k=`` there and let it build the store for you).  The store
-    aggregates the per-shard capacity and fallthrough accounting and
-    publishes the ``offload.dram_resident_bytes`` / ``offload.nvm_tail_bytes``
-    gauges at build time.
+    :meth:`repro.bfs.semi_external.SemiExternalBFS.offload` as
+    ``backward_scanners=``.  The store aggregates the per-shard capacity
+    and fallthrough accounting, and :meth:`build` publishes the
+    ``offload.dram_resident_bytes`` / ``offload.nvm_tail_bytes`` gauges.
+    Wrapping hand-built scanners (``TieredBackwardStore(scanners, k)``,
+    as the Fig. 14 sweep does for per-row budgets) gives the same
+    accounting without the gauges; ``k`` then only labels the store.
     """
 
     def __init__(self, scanners: list[TieredScanner], k: int) -> None:

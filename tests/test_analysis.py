@@ -260,6 +260,23 @@ class TestOffloadSweep:
         by_k = {p.k: p for p in points}
         assert by_k[32].dram_reduction >= by_k[2].dram_reduction
 
+    def test_dram_reduction_is_share_of_backward_bytes_off_dram(
+        self, forward, backward, tmp_path
+    ):
+        # Not nvm / (dram + nvm): the tail's own row-pointer array is new
+        # NVM bytes, not DRAM saved.
+        deg = backward.global_degrees()
+        roots = np.flatnonzero(deg > 0)[:1]
+        points = backward_offload_sweep(
+            forward, backward, PCIE_FLASH, tmp_path, roots,
+            ks=(2, 32), alpha=50.0, beta=500.0,
+        )
+        assert {p.strategy for p in points} == {"prefix", "degree-threshold"}
+        for p in points:
+            assert p.dram_reduction == pytest.approx(
+                1 - p.dram_bytes / backward.nbytes
+            )
+
     def test_unknown_strategy_rejected(self, forward, backward, tmp_path):
         with pytest.raises(ConfigurationError):
             backward_offload_sweep(

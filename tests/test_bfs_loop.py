@@ -35,7 +35,7 @@ from repro.numa import NumaTopology
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.schema import M_BFS_RUNS
 from repro.perfmodel.cost import DramCostModel, request_think_time_s
-from repro.semiext import NVMStore
+from repro.semiext import NVMStore, TieredBackwardStore
 from repro.semiext.faults import FaultPlan
 from repro.serve.engine import BatchedBFS
 from repro.util.bitmap import Bitmap
@@ -87,12 +87,18 @@ def _run_parallel(case, setup, obs, roots, tmp_path):
         engine.close()
 
 
-def _run_semi_external(offload_k=None):
+def _run_semi_external(tier_k=None):
     def run(case, setup, obs, roots, tmp_path):
+        store = _store(setup, tmp_path)
+        scanners = None
+        if tier_k is not None:
+            scanners = TieredBackwardStore.build(
+                case.backward, tier_k, store, obs=obs
+            ).scanners
         return _each_root(SemiExternalBFS.offload(
             case.forward, case.backward, _policy(setup),
-            _store(setup, tmp_path), cost_model=DramCostModel(), obs=obs,
-            offload_k=offload_k,
+            store, cost_model=DramCostModel(), obs=obs,
+            backward_scanners=scanners,
         ), roots)
     return run
 
@@ -117,7 +123,7 @@ LIVE_RUNNERS = {
     "hybrid": _run_hybrid,
     "parallel": _run_parallel,
     "semi_external": _run_semi_external(),
-    "tiered": _run_semi_external(offload_k=2),
+    "tiered": _run_semi_external(tier_k=2),
     "fully_external": _run_fully_external,
     "batched": _run_batched,
 }

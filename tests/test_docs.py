@@ -19,6 +19,7 @@ try:
         EXECUTABLE_DOCS,
         _anchor,
         check_cli_flags,
+        check_dotted_names,
         check_links,
         check_orphan_docs,
         exec_blocks,
@@ -43,6 +44,12 @@ class TestRepoDocs:
     def test_no_stale_cli_flags(self):
         files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
         errors = check_cli_flags(files)
+        assert not errors, "\n".join(errors)
+
+    def test_no_stale_dotted_names(self):
+        files = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+        files += sorted((ROOT / "docs").glob("*.md"))
+        errors = check_dotted_names(files)
         assert not errors, "\n".join(errors)
 
     def test_observability_doc_blocks_execute(self):
@@ -139,6 +146,17 @@ class TestCheckerUnits:
         assert len(errors) == 1
         assert "--no-such-flag" in errors[0]
         assert "--scale" not in errors[0]
+
+    def test_stale_dotted_name_detected(self, tmp_path):
+        doc = tmp_path / "d.md"
+        doc.write_text(
+            "See `repro.no_such_module` and `repro.semiext.tiered.Nope`,\n"
+            "not `repro.semiext.tiered.TieredScanner` or `repro.obs.slo`.\n"
+        )
+        errors = check_dotted_names([doc])
+        assert len(errors) == 2
+        assert "repro.no_such_module" in errors[0]
+        assert "repro.semiext.tiered.Nope" in errors[1]
 
     def test_cli_flag_check_spans_continuation_lines(self, tmp_path):
         doc = tmp_path / "d.md"

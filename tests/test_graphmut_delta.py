@@ -26,7 +26,7 @@ from repro.graphmut import (
     generate_stream,
     merge_batches,
 )
-from repro.semiext.cache import split_prefix
+from repro.semiext.tiered import split_prefix
 
 SETTINGS = dict(
     max_examples=40,

@@ -212,9 +212,10 @@ class TestTreeIdentity:
             forward=fwd, backward=bwd, policy=policy,
             store=NVMStore(sub / "plain", PCIE_FLASH),
         ).run(root)
+        store = NVMStore(sub / "tiered", PCIE_FLASH)
         tiered = SemiExternalBFS.offload(
-            forward=fwd, backward=bwd, policy=policy,
-            store=NVMStore(sub / "tiered", PCIE_FLASH), offload_k=k,
+            forward=fwd, backward=bwd, policy=policy, store=store,
+            backward_scanners=TieredBackwardStore.build(bwd, k, store).scanners,
         ).run(root)
         assert tiered.parent.tobytes() == plain.parent.tobytes()
 

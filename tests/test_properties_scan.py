@@ -3,8 +3,11 @@
 :func:`~repro.util.gather.first_hit_rows` must reproduce, row for row, what
 the full-gather scan computes: gather every whole row, test every entry
 against the frontier, keep the first hit.  That scan is kept here, and only
-here, as the oracle.
+here, as the oracle.  The tiered scanner, which splits each row at a per-row
+DRAM budget, must in turn reproduce the in-memory scanner.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.bfs.bottomup import InMemoryScanner
+from repro.csr.graph import CSRGraph
+from repro.semiext import PCIE_FLASH, NVMStore
+from repro.semiext.tiered import TieredScanner
 from repro.util.bitmap import Bitmap
 from repro.util.gather import (
     PROBE_COLUMNS,
@@ -128,6 +135,51 @@ class TestFirstHitRows:
         parents, scanned = first_hit_rows(adj, starts, counts, member)
         assert parents.tolist() == [5, -1, -1, 5]
         assert scanned.tolist() == [k + 3, k + 3, 0, 1]
+
+
+@st.composite
+def budgets(draw, degrees):
+    """A per-row DRAM budget: one scalar, random per row, or Fig. 14's
+    degree-threshold rule (rows of degree ≤ k kept entirely off DRAM)."""
+    kind = draw(st.sampled_from(["scalar", "per-row", "degree-threshold"]))
+    if kind == "scalar":
+        return draw(st.integers(0, LONG + 1))
+    if kind == "per-row":
+        return draw(arrays(np.int64, degrees.size, elements=st.integers(0, LONG + 1)))
+    k = draw(st.integers(0, LONG + 1))
+    return np.where(degrees <= k, 0, degrees)
+
+
+class TestTieredScanner:
+    @given(shard=shards(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_in_memory_scanner(self, shard, data):
+        indptr, adj, member, rows = shard
+        csr = CSRGraph(indptr=indptr, adj=adj, n_cols=member.size)
+        degrees = csr.degrees()
+        k = data.draw(budgets(degrees))
+        want = InMemoryScanner(csr).scan(rows, member)
+        with tempfile.TemporaryDirectory() as root:
+            store = NVMStore(root, PCIE_FLASH)
+            scanner = TieredScanner(csr, k, store, "t")
+            before = store.iostats.n_requests
+            got = scanner.scan(rows, member)
+            requests = store.iostats.n_requests - before
+        assert got.parents.tolist() == want.parents.tolist()
+        assert got.scanned == want.scanned
+        # A row reaches the device only if its DRAM prefix missed and it
+        # has a tail past the budget.
+        kept = np.minimum(degrees, k)[rows]
+        prefix_hit = np.array(
+            [member[adj[indptr[r]:indptr[r] + n]].any() for r, n in zip(rows, kept)],
+            dtype=bool,
+        )
+        has_tail = (degrees > k)[rows]
+        if (~prefix_hit & has_tail).any():
+            assert requests > 0
+        else:
+            assert got.scanned_nvm == 0
+            assert requests == 0
 
 
 class TestSortedUnique:

@@ -1,22 +1,38 @@
-"""Unit tests for partial backward-graph offloading (paper §VI-E)."""
+"""Unit tests for partial backward-graph offloading (paper §VI-E).
+
+The split and both Figure 14 readings of the per-row DRAM budget, each a
+:class:`~repro.semiext.tiered.TieredScanner` budget: the *prefix* reading
+is the scalar budget k, the *degree-threshold* reading is the per-row
+budget :func:`threshold_budget` (rows of degree ≤ k offloaded whole).
+The engine tier's own tests live in ``tests/test_offload_store.py``.
+"""
 
 import numpy as np
 import pytest
 
+from repro.analysis import backward_offload_sweep
 from repro.bfs.bottomup import InMemoryScanner
 from repro.csr.builder import build_csr
 from repro.errors import ConfigurationError
-from repro.semiext.cache import (
-    DegreeThresholdScanner,
-    PrefixOffloadScanner,
-    split_prefix,
-)
+from repro.semiext import PCIE_FLASH
+from repro.semiext.tiered import TieredBackwardStore, TieredScanner, split_prefix
 from repro.util.bitmap import Bitmap
+
+
+def threshold_budget(shard, k):
+    """Degree-threshold reading: rows of degree ≤ k keep nothing in DRAM."""
+    deg = shard.degrees()
+    return np.where(deg <= k, 0, deg)
+
+
+def dram_reduction(scanner):
+    """1 − DRAM bytes / full bytes, as the store reports it."""
+    return TieredBackwardStore([scanner], 0).dram_reduction
 
 
 @pytest.fixture()
 def shard():
-    # Degrees: 0->3, 1->1, 2->0, 3->2 (after symmetrization of a custom set)
+    # Symmetrized rows: 0: [1, 2, 3]   1: [0]   2: [0, 3]   3: [0, 2]
     return build_csr(
         np.array([[0, 0, 0, 3], [1, 2, 3, 2]]), n_vertices=4
     )
@@ -47,6 +63,8 @@ class TestSplitPrefix:
     def test_negative_k_rejected(self, shard):
         with pytest.raises(ConfigurationError):
             split_prefix(shard, -1)
+        with pytest.raises(ConfigurationError):
+            split_prefix(shard, np.array([0, -1, 0, 0]))
 
     def test_k_exactly_max_degree_keeps_everything(self, shard):
         # Max degree is 3 (vertex 0): the boundary where the suffix first
@@ -78,7 +96,7 @@ class TestPrefixScanner:
 
     def test_matches_in_memory_scanner(self, csr, store):
         k = 4
-        scanner = PrefixOffloadScanner(csr, k, store, "p")
+        scanner = TieredScanner(csr, k, store, "p")
         plain = InMemoryScanner(csr)
         frontier = self._frontier(csr.n_rows, [0, 5, 100, 333])
         rows = np.arange(0, csr.n_rows, 7, dtype=np.int64)
@@ -91,7 +109,7 @@ class TestPrefixScanner:
     def test_nvm_untouched_when_prefix_hits(self, shard, store):
         # Frontier contains every vertex: each scanned row hits within its
         # first entry, so the suffix is never fetched.
-        scanner = PrefixOffloadScanner(shard, 1, store, "p")
+        scanner = TieredScanner(shard, 1, store, "p")
         frontier = self._frontier(4, [0, 1, 2, 3])
         before = store.iostats.n_requests
         out = scanner.scan(np.array([0, 3]), frontier)
@@ -101,7 +119,7 @@ class TestPrefixScanner:
 
     def test_suffix_consulted_when_prefix_misses(self, shard, store):
         # Vertex 0's neighbors sorted: [1, 2, 3]; frontier = {3} only.
-        scanner = PrefixOffloadScanner(shard, 1, store, "p")
+        scanner = TieredScanner(shard, 1, store, "p")
         frontier = self._frontier(4, [3])
         out = scanner.scan(np.array([0]), frontier)
         assert out.parents.tolist() == [3]
@@ -110,20 +128,20 @@ class TestPrefixScanner:
 
     def test_dram_reduction_monotone_in_k(self, csr, store):
         reductions = [
-            PrefixOffloadScanner(csr, k, store, f"p{k}").dram_reduction
+            dram_reduction(TieredScanner(csr, k, store, f"p{k}"))
             for k in (1, 4, 16)
         ]
         assert reductions[0] > reductions[1] > reductions[2]
 
     def test_byte_accounting(self, shard, store):
-        s = PrefixOffloadScanner(shard, 1, store, "p")
+        s = TieredScanner(shard, 1, store, "p")
         assert s.dram_nbytes + s.nvm_nbytes >= shard.nbytes  # indexes dup'd
-        assert 0.0 <= s.dram_reduction <= 1.0
+        assert 0.0 <= dram_reduction(s) <= 1.0
 
 
 class TestDegreeThresholdScanner:
     def test_matches_in_memory_scanner(self, csr, store):
-        scanner = DegreeThresholdScanner(csr, 8, store, "d")
+        scanner = TieredScanner(csr, threshold_budget(csr, 8), store, "d")
         plain = InMemoryScanner(csr)
         frontier = Bitmap.from_indices(csr.n_rows, np.array([0, 5, 100]))
         rows = np.arange(0, csr.n_rows, 11, dtype=np.int64)
@@ -133,7 +151,7 @@ class TestDegreeThresholdScanner:
         assert a.scanned == b.scanned
 
     def test_low_degree_rows_on_nvm(self, shard, store):
-        scanner = DegreeThresholdScanner(shard, 1, store, "d")
+        scanner = TieredScanner(shard, threshold_budget(shard, 1), store, "d")
         # Vertex 1 has degree 1 -> on NVM.
         frontier = Bitmap.from_indices(4, np.array([0]))
         out = scanner.scan(np.array([1]), frontier)
@@ -142,7 +160,7 @@ class TestDegreeThresholdScanner:
         assert out.scanned_dram == 0
 
     def test_high_degree_rows_in_dram(self, shard, store):
-        scanner = DegreeThresholdScanner(shard, 1, store, "d")
+        scanner = TieredScanner(shard, threshold_budget(shard, 1), store, "d")
         frontier = Bitmap.from_indices(4, np.array([1]))
         out = scanner.scan(np.array([0]), frontier)  # deg 3 > 1
         assert out.scanned_nvm == 0
@@ -150,22 +168,27 @@ class TestDegreeThresholdScanner:
 
     def test_size_reduction_monotone_in_k(self, csr, store):
         reductions = [
-            DegreeThresholdScanner(csr, k, store, f"d{k}").dram_reduction
+            dram_reduction(
+                TieredScanner(csr, threshold_budget(csr, k), store, f"d{k}")
+            )
             for k in (1, 8, 64)
         ]
         assert reductions[0] < reductions[1] < reductions[2]
 
-    def test_negative_k_rejected(self, shard, store):
+    def test_negative_k_rejected(self, forward, backward, tmp_path):
         with pytest.raises(ConfigurationError):
-            DegreeThresholdScanner(shard, -1, store, "d")
+            backward_offload_sweep(
+                forward, backward, PCIE_FLASH, tmp_path, np.array([0]),
+                ks=(-1,), strategies=("degree-threshold",),
+            )
 
     def test_k_zero_keeps_nonisolated_in_dram(self, shard, store):
-        s = DegreeThresholdScanner(shard, 0, store, "d")
-        assert s.nvm.n_directed_edges == 0
+        s = TieredScanner(shard, threshold_budget(shard, 0), store, "d")
+        assert s.tail.n_directed_edges == 0
 
     def test_all_isolated_shard_scans_to_no_parents(self, store):
         empty = build_csr(np.empty((2, 0), dtype=np.int64), n_vertices=6)
-        scanner = DegreeThresholdScanner(empty, 2, store, "iso")
+        scanner = TieredScanner(empty, threshold_budget(empty, 2), store, "iso")
         frontier = Bitmap.from_indices(6, np.arange(6))
         out = scanner.scan(np.arange(6, dtype=np.int64), frontier)
         assert (out.parents == -1).all()
@@ -174,6 +197,6 @@ class TestDegreeThresholdScanner:
 
     def test_all_isolated_shard_offloads_nothing(self, store):
         empty = build_csr(np.empty((2, 0), dtype=np.int64), n_vertices=6)
-        scanner = DegreeThresholdScanner(empty, 2, store, "iso2")
-        assert scanner.dram.n_directed_edges == 0
-        assert scanner.nvm.n_directed_edges == 0
+        scanner = TieredScanner(empty, threshold_budget(empty, 2), store, "iso2")
+        assert scanner.prefix.n_directed_edges == 0
+        assert scanner.tail.n_directed_edges == 0

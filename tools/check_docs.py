@@ -13,7 +13,10 @@ Two passes, both offline:
    would be invisible to a reader starting at the front door) and on
    **stale CLI flags**: every ``--flag`` on a ``repro-bfs`` line inside
    a fenced block must exist on the real argparse parser, so docs cannot
-   drift ahead of (or behind) the CLI.
+   drift ahead of (or behind) the CLI.  Likewise every backticked dotted
+   name ``repro.x.y`` in ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``
+   and ``docs/*.md`` must resolve to a module or attribute of the
+   installed package (**stale dotted names**).
 2. **Code blocks** — every fenced ```` ```python ```` block in the
    executable docs (``docs/tutorial.md``, ``docs/observability.md``,
    ``docs/serving.md``, ``docs/slo.md``, ``docs/conformance.md``,
@@ -176,6 +179,43 @@ def check_cli_flags(files: list[Path]) -> list[str]:
     return errors
 
 
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path below
+    the longest importable module prefix."""
+    import importlib
+
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names(files: list[Path]) -> list[str]:
+    """Flag every backticked ``repro.x.y`` that names no module or
+    attribute (a renamed or deleted module left behind in the docs)."""
+    errors: list[str] = []
+    for path in files:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for name in _DOTTED.findall(line):
+                if not _resolves(name):
+                    errors.append(
+                        f"{_rel(path)}:{lineno}: stale dotted name {name} "
+                        f"(no such module or attribute)"
+                    )
+    return errors
+
+
 def python_blocks(path: Path) -> list[tuple[int, str]]:
     """``(first_line_number, source)`` of each ```python fence."""
     blocks: list[tuple[int, str]] = []
@@ -245,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         errors += check_links(link_files)
         errors += check_orphan_docs(readme, docs)
         errors += check_cli_flags(link_files)
+        errors += check_dotted_names(
+            [REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"] + link_files
+        )
         print(f"links: {len(link_files)} files checked")
     if not args.links_only:
         doc_files = [f.resolve() for f in args.files] or [
